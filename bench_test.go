@@ -17,7 +17,6 @@ import (
 	"etap/internal/exp"
 	"etap/internal/fault"
 	"etap/internal/harden"
-	"etap/internal/isa"
 	"etap/internal/minic"
 	"etap/internal/sim"
 )
@@ -185,7 +184,7 @@ func BenchmarkInjectionTrial(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			camp, err := fault.NewCampaign(prog, rep.Tagged, sim.Config{Input: a.Input()})
+			camp, err := campaign.New(prog, rep.Tagged, sim.Config{Input: a.Input()}, campaign.Config{})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -368,33 +367,6 @@ func BenchmarkHardenOverhead(b *testing.B) {
 	}
 	b.ReportMetric(res.StaticOverhead(), "static-x")
 	b.ReportMetric(float64(hardInstret)/float64(base.Instret), "dynamic-x")
-}
-
-// BenchmarkEngineScratch compares the predecoded engine against the
-// reference interpreter on identical from-scratch runs and reports raw
-// ns/instruction for each — the engine's headline per-step cost
-// (docs/PERF.md tracks this number across revisions).
-func BenchmarkEngineScratch(b *testing.B) {
-	a, _ := all.ByName("blowfish")
-	prog, err := minic.Build(a.Source())
-	if err != nil {
-		b.Fatal(err)
-	}
-	input := a.Input()
-	run := func(b *testing.B, exec func(*isa.Program, sim.Config) sim.Result) {
-		b.Helper()
-		var instret uint64
-		for i := 0; i < b.N; i++ {
-			res := exec(prog, sim.Config{Input: input})
-			if res.Outcome != sim.OK {
-				b.Fatalf("outcome %s", res.Outcome)
-			}
-			instret += res.Instret
-		}
-		b.ReportMetric(b.Elapsed().Seconds()*1e9/float64(instret), "ns/instruction")
-	}
-	b.Run("engine", func(b *testing.B) { run(b, sim.Run) })
-	b.Run("reference", func(b *testing.B) { run(b, sim.ReferenceRun) })
 }
 
 // BenchmarkEngineRestore measures a checkpoint-resumed trial on the pooled

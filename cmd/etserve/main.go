@@ -24,7 +24,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"log"
 	"log/slog"
 	"os"
 	"os/signal"
@@ -62,7 +61,7 @@ func run(ctx context.Context, args []string, stderr io.Writer) error {
 	pprofFlag := fs.Bool("pprof", false, "mount /debug/pprof/ (exposes internals; keep off on public deployments)")
 	otlp := fs.String("otlp", "", "push sampled traces to this OTLP/HTTP JSON collector (e.g. http://collector:4318)")
 	traceSample := fs.Float64("trace-sample", 0, "fraction of traces exported over OTLP (0 = all, < 0 = none); GET /traces always works")
-	jsonLog := fs.Bool("log-json", false, "emit structured JSON logs (slog) instead of plain lines")
+	jsonLog := fs.Bool("log-json", false, "emit structured JSON logs instead of key=value text lines")
 	quiet := fs.Bool("quiet", false, "suppress per-job log lines")
 	showVersion := fs.Bool("version", false, "print build identity and exit")
 	if err := fs.Parse(args); err != nil {
@@ -76,22 +75,19 @@ func run(ctx context.Context, args []string, stderr io.Writer) error {
 		return usageError(fmt.Sprintf("unexpected arguments: %v", fs.Args()))
 	}
 
-	logger := log.New(stderr, "etserve: ", log.LstdFlags)
-	logf := logger.Printf
-	if *quiet {
-		logf = func(string, ...any) {}
+	logger := slog.New(slog.NewTextHandler(stderr, nil))
+	switch {
+	case *quiet:
+		logger = slog.New(slog.NewTextHandler(io.Discard, nil))
+	case *jsonLog:
+		logger = slog.New(slog.NewJSONHandler(stderr, nil))
 	}
 	opts := []etap.ServeOption{
 		etap.WithServeLab(etap.NewLabCapacity(*labCapacity)),
 		etap.WithServeWorkers(*workers),
 		etap.WithServeQueueDepth(*queue),
 		etap.WithServeMaxJobs(*maxJobs),
-	}
-	switch {
-	case *jsonLog && !*quiet:
-		opts = append(opts, etap.WithServeLogger(slog.New(slog.NewJSONHandler(stderr, nil))))
-	default:
-		opts = append(opts, etap.WithServeLog(logf))
+		etap.WithServeLogger(logger),
 	}
 	if *pprofFlag {
 		opts = append(opts, etap.WithServePprof())
@@ -105,7 +101,7 @@ func run(ctx context.Context, args []string, stderr io.Writer) error {
 	if *traceSample != 0 {
 		opts = append(opts, etap.WithServeTraceSample(*traceSample))
 	}
-	logf("listening on %s (state: %s)", *addr, orNone(*state))
+	logger.Info("listening", "addr", *addr, "state", orNone(*state))
 	return etap.Serve(ctx, *addr, opts...)
 }
 

@@ -8,7 +8,8 @@
 // assembly. The program's output bytes go to stdout; run statistics and
 // diagnostics go to stderr. With -errors, single-bit faults are injected
 // into the analysis-tagged instructions (or all arithmetic with
-// -unprotected).
+// -unprotected); -max then bounds the clean run, and the faulty run gets
+// the campaign engine's budget (16x the clean run plus 10M instructions).
 //
 // Exit codes: 0 for a run that completed normally, 1 for a simulated
 // crash/hang or any tool error (compile failure, unreadable input, failed
@@ -23,8 +24,8 @@ import (
 	"strings"
 
 	"etap/internal/asm"
+	"etap/internal/campaign"
 	"etap/internal/core"
-	"etap/internal/fault"
 	"etap/internal/isa"
 	"etap/internal/minic"
 	"etap/internal/sim"
@@ -107,9 +108,16 @@ func run(progFile, inFile string, maxInstr uint64, errors int, seed int64, unpro
 		}
 		eligible = rep.Tagged
 	}
-	camp, cerr := fault.NewCampaign(prog, eligible, sim.Config{Input: input, MaxInstr: maxInstr})
-	if cerr != nil {
-		return sim.Result{}, cerr
+	if maxInstr != 0 {
+		// -max bounds the clean run: a program that cannot finish within
+		// it has no golden run to inject against.
+		if clean := sim.Run(prog, sim.Config{Input: input, MaxInstr: maxInstr}); clean.Outcome != sim.OK {
+			return sim.Result{}, fmt.Errorf("clean run did not complete: %s (budget -max %d)", clean.Outcome, maxInstr)
+		}
 	}
-	return camp.Run(errors, seed), nil
+	eng, err := campaign.New(prog, eligible, sim.Config{Input: input}, campaign.Config{})
+	if err != nil {
+		return sim.Result{}, err
+	}
+	return eng.Run(errors, seed), nil
 }

@@ -14,7 +14,7 @@
 //
 // The seven benchmark applications of the paper's Table 1 are available
 // through Benchmarks, and the paper's tables and figures can be regenerated
-// with RunExperiment. Everything underneath lives in internal/ packages:
+// through the Experiments registry (ExperimentByID(id).Run). Everything underneath lives in internal/ packages:
 // the ISA and assembler, the functional simulator with SimpleScalar-style
 // lazy memory and checkpoint/restore, the MiniC compiler, the control-data
 // analysis, the fault injector, the campaign engine, the fidelity

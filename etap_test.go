@@ -252,22 +252,6 @@ func TestBenchmarkBuildAndInject(t *testing.T) {
 	}
 }
 
-func TestRunExperimentTable1(t *testing.T) {
-	out, err := RunExperiment("table1", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out, "susan") || !strings.Contains(out, "Fidelity") {
-		t.Fatalf("table1 output: %s", out)
-	}
-}
-
-func TestRunExperimentUnknown(t *testing.T) {
-	if _, err := RunExperiment("table99", 0); err == nil {
-		t.Fatalf("unknown experiment accepted")
-	}
-}
-
 func TestExperimentIDsComplete(t *testing.T) {
 	ids := ExperimentIDs()
 	want := []string{"table1", "table2", "table3", "figure1", "figure2", "figure3", "figure4", "figure5", "figure6", "ablation", "potential", "bits", "masking", "availability"}
@@ -385,26 +369,6 @@ func TestExperimentsRegistry(t *testing.T) {
 	}
 	if _, ok := ExperimentByID("nosuch"); ok {
 		t.Fatalf("unknown experiment resolved")
-	}
-}
-
-// TestRunExperimentShimMatchesRegistry: the deprecated string API must
-// render exactly what the registry produces.
-func TestRunExperimentShimMatchesRegistry(t *testing.T) {
-	want, ok := ExperimentByID("table1")
-	if !ok {
-		t.Fatalf("table1 not registered")
-	}
-	r, err := want.Run(bgctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	shim, err := RunExperiment("table1", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if shim != r.RenderText() {
-		t.Fatalf("shim output diverged from registry render")
 	}
 }
 

@@ -12,8 +12,8 @@ import (
 // columns, typed rows (with Wilson confidence bounds on rate cells),
 // figure series, and the options metadata to reproduce the run. Render
 // it with RenderText, or serialize batches with WriteReportsJSON /
-// WriteReportsCSV; the text rendering is byte-identical to the output of
-// the pre-Report RunExperiment for the paper's tables and figures.
+// WriteReportsCSV; the text rendering is byte-identical to the text the
+// pre-Report string API returned for the paper's tables and figures.
 type Report = exp.Report
 
 // WriteReportsJSON renders reports as one indented JSON array.
@@ -78,27 +78,3 @@ func ExperimentByID(id string) (Experiment, bool) {
 
 // ExperimentIDs lists the registered experiment IDs in canonical order.
 func ExperimentIDs() []string { return exp.IDs() }
-
-// RunExperiment regenerates one experiment and returns its rendered
-// text. Trials ≤ 0 selects the default (40 per point).
-//
-// Deprecated: RunExperiment is a shim over the Experiments registry kept
-// for pre-v2 callers. Use ExperimentByID(id).Run(ctx, opts...) to get a
-// structured *Report with cancellation, progress and machine renderings.
-func RunExperiment(id string, trials int) (string, error) {
-	e, ok := ExperimentByID(id)
-	if !ok {
-		return "", unknownExperiment(id)
-	}
-	var opts []Option
-	if trials > 0 {
-		opts = append(opts, WithTrials(trials))
-	}
-	r, err := e.Run(context.Background(), opts...)
-	if err != nil {
-		return "", err
-	}
-	return r.RenderText(), nil
-}
-
-func unknownExperiment(id string) error { return exp.UnknownExperimentError(id) }

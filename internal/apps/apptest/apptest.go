@@ -10,8 +10,8 @@ import (
 	"testing"
 
 	"etap/internal/apps"
+	"etap/internal/campaign"
 	"etap/internal/core"
-	"etap/internal/fault"
 	"etap/internal/isa"
 	"etap/internal/minic"
 	"etap/internal/sim"
@@ -68,7 +68,7 @@ func CheckReference(t *testing.T, app apps.App) {
 // Campaign builds a fault campaign for the app under the experiments'
 // default analysis policy (protection on) or the all-arithmetic mask
 // (protection off).
-func Campaign(t *testing.T, app apps.App, protected bool) *fault.Campaign {
+func Campaign(t *testing.T, app apps.App, protected bool) *campaign.Engine {
 	t.Helper()
 	prog := Build(t, app)
 	var eligible []bool
@@ -81,7 +81,7 @@ func Campaign(t *testing.T, app apps.App, protected bool) *fault.Campaign {
 	} else {
 		eligible = core.EligibleAll(prog)
 	}
-	c, err := fault.NewCampaign(prog, eligible, sim.Config{Input: app.Input()})
+	c, err := campaign.New(prog, eligible, sim.Config{Input: app.Input()}, campaign.Config{})
 	if err != nil {
 		t.Fatalf("%s: campaign: %v", app.Name(), err)
 	}

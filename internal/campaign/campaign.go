@@ -112,19 +112,13 @@ type Engine struct {
 	rec *sim.Recording
 	cfg Config
 
-	// Static injection pruning: benignStream is a bitmap over the clean
-	// run's eligible-stream ordinals (bit o-1 set means ordinal o strikes
-	// a statically benign site), built during the golden pass by the
-	// sim.Config.SiteVisit hook at zero extra passes. pruneOK gates use:
-	// it is false when pruning is disabled, the program's CFG defeats
-	// classification, or the observed stream length disagreed with the
-	// clean run. benignDyn counts the set bits; pruned counts skipped
-	// trials.
-	benignStream []uint64
-	benignDyn    uint64
-	pruneOK      bool
-	class        *analysis.Classification
-	pruned       atomic.Uint64
+	// Static injection pruning: the golden pass marks the statically
+	// benign sites (class.Benign), so rec.Marked(o) answers whether
+	// eligible-stream ordinal o strikes one at zero extra passes. class
+	// is nil when pruning is disabled or the program's CFG defeats
+	// classification; pruned counts skipped trials.
+	class  *analysis.Classification
+	pruned atomic.Uint64
 }
 
 // New prepares an engine. simCfg.Plan and simCfg.MaxInstr are managed by
@@ -146,33 +140,21 @@ func New(p *isa.Program, eligible []bool, simCfg sim.Config, cfg Config) (*Engin
 	probe := simCfg
 	probe.Plan = &sim.FaultPlan{Eligible: eligible}
 
-	// Static pruning setup: classify fault sites once, then let the
-	// golden pass (which already walks the whole eligible stream) record
-	// which ordinals strike benign sites. Classification failure — e.g. a
+	// Static pruning setup: classify fault sites once and let the golden
+	// pass, which already walks the whole eligible stream, mark which
+	// ordinals strike benign sites. Classification failure — e.g. a
 	// hand-written program whose control flow the CFG builder rejects —
 	// silently disables pruning; the campaign still runs, every trial
 	// simulated.
 	var cls *analysis.Classification
-	var benign []uint64
-	var benignDyn, streamLen uint64
+	var benign []bool
 	if !cfg.DisablePrune {
 		if c, err := analysis.Classify(p); err == nil {
-			cls = c
-			probe.SiteVisit = func(pc int) {
-				if cls.Benign[pc] {
-					w := streamLen >> 6
-					for w >= uint64(len(benign)) {
-						benign = append(benign, 0)
-					}
-					benign[w] |= 1 << (streamLen & 63)
-					benignDyn++
-				}
-				streamLen++
-			}
+			cls, benign = c, c.Benign
 		}
 	}
 
-	rec, err := sim.Record(p, probe, sim.RecordOptions{Interval: cfg.Interval, MaxSnapshots: cfg.MaxSnapshots})
+	rec, err := sim.Record(p, probe, sim.RecordOptions{Interval: cfg.Interval, MaxSnapshots: cfg.MaxSnapshots}, benign...)
 	if err != nil {
 		return nil, fmt.Errorf("campaign: %w", err)
 	}
@@ -190,21 +172,13 @@ func New(p *isa.Program, eligible []bool, simCfg sim.Config, cfg Config) (*Engin
 		Budget:   clean.Instret*16 + 10_000_000,
 		rec:      rec,
 		cfg:      cfg,
-	}
-	// Plan ordinals index the clean eligible stream 1..EligibleExec; a
-	// bitmap built over anything else would mis-prune, so it is dropped
-	// unless the hook saw exactly that stream.
-	if cls != nil && streamLen == clean.EligibleExec {
-		e.benignStream = benign
-		e.benignDyn = benignDyn
-		e.class = cls
-		e.pruneOK = true
+		class:    cls,
 	}
 	return e, nil
 }
 
 // PruningEnabled reports whether static injection pruning is active.
-func (e *Engine) PruningEnabled() bool { return e.pruneOK }
+func (e *Engine) PruningEnabled() bool { return e.class != nil }
 
 // Classification exposes the static fault-site triage pruning runs on
 // (nil when pruning is off).
@@ -214,35 +188,22 @@ func (e *Engine) Classification() *analysis.Classification { return e.class }
 // stream that strikes statically benign sites — the share of the
 // single-fault trial space the engine can skip without simulating.
 func (e *Engine) StaticPruneFraction() float64 {
-	if !e.pruneOK || e.Clean.EligibleExec == 0 {
+	if e.class == nil || e.Clean.EligibleExec == 0 {
 		return 0
 	}
-	return float64(e.benignDyn) / float64(e.Clean.EligibleExec)
+	return float64(e.rec.MarkedExec()) / float64(e.Clean.EligibleExec)
 }
 
 // PrunedTrials reports how many trials were answered statically instead
 // of simulated, across all points run so far.
 func (e *Engine) PrunedTrials() uint64 { return e.pruned.Load() }
 
-// streamBenign reports whether eligible-stream ordinal at (1-based)
-// strikes a statically benign site.
-func (e *Engine) streamBenign(at uint64) bool {
-	if at == 0 {
-		return false
-	}
-	w := (at - 1) >> 6
-	if w >= uint64(len(e.benignStream)) {
-		return false
-	}
-	return e.benignStream[w]>>((at-1)&63)&1 == 1
-}
-
 // planBenign reports whether every injection of a plan strikes a
 // statically benign site (vacuously true for fault-free plans), making
 // the whole trial's outcome provably identical to the clean run.
 func (e *Engine) planBenign(plan *sim.FaultPlan) bool {
 	for _, inj := range plan.Injections {
-		if !e.streamBenign(inj.At) {
+		if !e.rec.Marked(inj.At) {
 			return false
 		}
 	}
@@ -559,7 +520,7 @@ func (e *Engine) runShard(ctx context.Context, seed int64, errors int, lo, hi ui
 		if err != nil {
 			panic(err) // unreachable: New rejects empty eligible streams
 		}
-		if e.pruneOK && e.planBenign(plan) {
+		if e.class != nil && e.planBenign(plan) {
 			// Every flip lands in a dead (or discarded) destination, so
 			// the execution is provably the clean run: synthesize the
 			// trial the simulator would have produced. The plan was still

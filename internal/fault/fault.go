@@ -1,9 +1,9 @@
-// Package fault builds and runs fault-injection campaigns following the
-// paper's methodology (§4): single bit flips, uniformly distributed over
-// the dynamic instances of the eligible instructions of a run, flipping one
+// Package fault generates fault-injection plans following the paper's
+// methodology (§4): single bit flips, uniformly distributed over the
+// dynamic instances of the eligible instructions of a run, flipping one
 // uniformly chosen bit of the instruction's result. Everything is
 // deterministic given a seed, which the experiment harness and the tests
-// rely on.
+// rely on. internal/campaign runs the plans.
 package fault
 
 import (
@@ -11,7 +11,6 @@ import (
 	"math/rand"
 	"sort"
 
-	"etap/internal/isa"
 	"etap/internal/sim"
 )
 
@@ -73,8 +72,8 @@ func NewPlanBitsRand(rng *rand.Rand, eligible []bool, streamLen uint64, n int, l
 }
 
 // AnyEligible reports whether the mask marks at least one instruction.
-// The plan constructors and both campaign engines share it to reject
-// empty eligibility masks.
+// The plan constructors and the campaign engine share it to reject empty
+// eligibility masks.
 func AnyEligible(mask []bool) bool {
 	for _, b := range mask {
 		if b {
@@ -82,79 +81,4 @@ func AnyEligible(mask []bool) bool {
 		}
 	}
 	return false
-}
-
-// Campaign is a reusable fault-injection setup for one program, input and
-// eligibility mask. Constructing it runs the program once cleanly to learn
-// the dynamic eligible-stream length and set the timeout budget.
-type Campaign struct {
-	Prog     *isa.Program
-	Eligible []bool
-	// Clean is the fault-free reference run.
-	Clean sim.Result
-	// Budget is the instruction limit applied to faulty runs; exceeding it
-	// classifies the run as an infinite execution.
-	Budget uint64
-
-	baseCfg sim.Config
-}
-
-// NewCampaign prepares a campaign. cfg.Plan and cfg.MaxInstr are managed by
-// the campaign and must be unset.
-func NewCampaign(p *isa.Program, eligible []bool, cfg sim.Config) (*Campaign, error) {
-	if cfg.Plan != nil {
-		return nil, fmt.Errorf("fault: cfg.Plan is managed by the campaign")
-	}
-	if len(eligible) != len(p.Text) {
-		return nil, fmt.Errorf("fault: eligibility mask has %d entries for %d instructions", len(eligible), len(p.Text))
-	}
-	if !AnyEligible(eligible) {
-		return nil, fmt.Errorf("fault: eligibility mask marks no instructions; nothing to inject into")
-	}
-	probe := cfg
-	probe.Plan = &sim.FaultPlan{Eligible: eligible}
-	clean := sim.Run(p, probe)
-	if clean.Outcome != sim.OK {
-		return nil, fmt.Errorf("fault: clean run did not complete: %s (trap: %s)", clean.Outcome, clean.Trap)
-	}
-	if clean.EligibleExec == 0 {
-		return nil, fmt.Errorf("fault: no eligible instructions executed; nothing to inject into")
-	}
-	c := &Campaign{
-		Prog:     p,
-		Eligible: eligible,
-		Clean:    clean,
-		Budget:   clean.Instret*16 + 10_000_000,
-		baseCfg:  cfg,
-	}
-	return c, nil
-}
-
-// Run executes one faulty trial with n errors, deterministic in seed.
-func (c *Campaign) Run(n int, seed int64) sim.Result {
-	return c.RunBits(n, seed, 0, 31)
-}
-
-// RunBits is Run with the flipped bit restricted to [loBit, hiBit].
-func (c *Campaign) RunBits(n int, seed int64, loBit, hiBit uint8) sim.Result {
-	plan, err := NewPlanBits(c.Eligible, c.Clean.EligibleExec, n, seed, loBit, hiBit)
-	if err != nil {
-		// NewCampaign rejects empty eligible streams, so a plan error here
-		// means the campaign was built by hand around its constructor.
-		panic(err)
-	}
-	cfg := c.baseCfg
-	cfg.MaxInstr = c.Budget
-	cfg.Plan = plan
-	return sim.Run(c.Prog, cfg)
-}
-
-// EligibleFraction is the dynamic fraction of executed instructions that
-// were eligible in the clean run — Table 3's "% low reliability
-// instructions" when the mask is the analysis tag set.
-func (c *Campaign) EligibleFraction() float64 {
-	if c.Clean.Instret == 0 {
-		return 0
-	}
-	return float64(c.Clean.EligibleExec) / float64(c.Clean.Instret)
 }

@@ -3,55 +3,7 @@ package fault
 import (
 	"testing"
 	"testing/quick"
-
-	"etap/internal/asm"
-	"etap/internal/core"
-	"etap/internal/sim"
 )
-
-const loopProgram = `
-.text
-.func __start
-	li $t5, 0
-	li $t6, 0
-loop:
-	add $t6, $t6, $t5
-	mul $t7, $t5, $t5
-	add $t6, $t6, $t7
-	addi $t5, $t5, 1
-	slti $at, $t5, 200
-	bnez $at, loop
-	move $a0, $t6
-	li $v0, 1
-	syscall
-.endfunc
-`
-
-func campaign(t *testing.T) *Campaign {
-	t.Helper()
-	p, err := asm.Assemble(loopProgram)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := NewCampaign(p, core.EligibleAll(p), sim.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return c
-}
-
-func TestCleanRunRecorded(t *testing.T) {
-	c := campaign(t)
-	if c.Clean.Outcome != sim.OK {
-		t.Fatalf("clean outcome %s", c.Clean.Outcome)
-	}
-	if c.Clean.EligibleExec == 0 {
-		t.Fatalf("no eligible instructions recorded")
-	}
-	if c.Budget <= c.Clean.Instret {
-		t.Fatalf("budget %d not above clean instret %d", c.Budget, c.Clean.Instret)
-	}
-}
 
 func TestPlanProperties(t *testing.T) {
 	f := func(seedRaw int64, nRaw uint8) bool {
@@ -107,7 +59,7 @@ func TestPlanRejectsEmptyStream(t *testing.T) {
 		t.Fatalf("NewPlanBits accepted an all-false eligibility mask")
 	}
 	// A negative error budget schedules nothing, like n == 0 — callers
-	// like Campaign.Run(-1, seed) get a clean run, not a panic.
+	// like Engine.Run(-1, seed) get a clean run, not a panic.
 	plan, err := NewPlan(nil, 100, -1, 1)
 	if err != nil || len(plan.Injections) != 0 {
 		t.Fatalf("NewPlan(-1 errors) = %d injections, err %v; want empty plan", len(plan.Injections), err)
@@ -147,83 +99,6 @@ func TestPlanDeterministicBySeed(t *testing.T) {
 	}
 }
 
-func TestRunInjectsAllErrors(t *testing.T) {
-	c := campaign(t)
-	res := c.Run(10, 7)
-	// The program has fixed control flow on protected... here everything
-	// is eligible, so the run may crash; but if it completes, all ten
-	// injections must have fired.
-	if res.Outcome == sim.OK && res.Injected != 10 {
-		t.Fatalf("completed with %d/10 injections", res.Injected)
-	}
-}
-
-func TestRunDeterministic(t *testing.T) {
-	c := campaign(t)
-	a := c.Run(5, 99)
-	b := c.Run(5, 99)
-	if a.Outcome != b.Outcome || a.ExitCode != b.ExitCode || a.Instret != b.Instret {
-		t.Fatalf("runs diverged: %v/%d vs %v/%d", a.Outcome, a.ExitCode, b.Outcome, b.ExitCode)
-	}
-}
-
-func TestZeroErrorsMatchesClean(t *testing.T) {
-	c := campaign(t)
-	res := c.Run(0, 1)
-	if res.Outcome != sim.OK || res.ExitCode != c.Clean.ExitCode {
-		t.Fatalf("zero-error run differs from clean: %v exit %d vs %d",
-			res.Outcome, res.ExitCode, c.Clean.ExitCode)
-	}
-}
-
-func TestCampaignRejectsBrokenPrograms(t *testing.T) {
-	crash := `
-.text
-.func __start
-	li $t0, 0
-	li $t1, 1
-	div $t2, $t1, $t0
-	li $v0, 1
-	syscall
-.endfunc
-`
-	p, err := asm.Assemble(crash)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := NewCampaign(p, core.EligibleAll(p), sim.Config{}); err == nil {
-		t.Fatalf("campaign accepted a program that crashes cleanly")
-	}
-}
-
-func TestCampaignRejectsNoEligible(t *testing.T) {
-	p, err := asm.Assemble(loopProgram)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := NewCampaign(p, make([]bool, len(p.Text)), sim.Config{}); err == nil {
-		t.Fatalf("campaign accepted an empty eligibility mask")
-	}
-}
-
-func TestCampaignRejectsBadMask(t *testing.T) {
-	p, err := asm.Assemble(loopProgram)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := NewCampaign(p, make([]bool, 2), sim.Config{}); err == nil {
-		t.Fatalf("campaign accepted a short mask")
-	}
-}
-
-func TestEligibleFraction(t *testing.T) {
-	c := campaign(t)
-	f := c.EligibleFraction()
-	if f <= 0 || f > 1 {
-		t.Fatalf("eligible fraction %f out of range", f)
-	}
-}
-
 func TestPlanBitsRestrictsLane(t *testing.T) {
 	for _, lane := range [][2]uint8{{0, 7}, {8, 15}, {24, 31}, {5, 5}} {
 		plan, err := NewPlanBits(nil, 10000, 50, 9, lane[0], lane[1])
@@ -245,14 +120,5 @@ func TestPlanBitsRestrictsLane(t *testing.T) {
 		if inj.Bit > 31 {
 			t.Fatalf("bit %d > 31 after clamping", inj.Bit)
 		}
-	}
-}
-
-func TestRunBitsDeterministic(t *testing.T) {
-	c := campaign(t)
-	a := c.RunBits(5, 3, 0, 7)
-	b := c.RunBits(5, 3, 0, 7)
-	if a.Outcome != b.Outcome || a.ExitCode != b.ExitCode {
-		t.Fatalf("RunBits not deterministic")
 	}
 }

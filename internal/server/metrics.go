@@ -54,8 +54,8 @@ func (sm *serverMetrics) enteredState(s State) {
 	sm.jobsTotal.With(string(s)).Inc()
 }
 
-// discardHandler drops every record; the default logger when neither
-// Logger nor Logf is configured. (slog.DiscardHandler exists from Go
+// discardHandler drops every record; the default logger when no Logger
+// is configured. (slog.DiscardHandler exists from Go
 // 1.24; this keeps the module buildable with its declared go 1.22.)
 type discardHandler struct{}
 
@@ -63,35 +63,3 @@ func (discardHandler) Enabled(context.Context, slog.Level) bool  { return false 
 func (discardHandler) Handle(context.Context, slog.Record) error { return nil }
 func (d discardHandler) WithAttrs([]slog.Attr) slog.Handler      { return d }
 func (d discardHandler) WithGroup(string) slog.Handler           { return d }
-
-// logfHandler adapts a printf-style sink (the legacy Config.Logf /
-// etap.WithServeLog surface) into a slog.Handler: one line per record,
-// message first, attrs appended as key=value.
-type logfHandler struct {
-	logf  func(format string, args ...any)
-	attrs []slog.Attr
-}
-
-func (h logfHandler) Enabled(_ context.Context, level slog.Level) bool {
-	return level >= slog.LevelInfo
-}
-
-func (h logfHandler) Handle(_ context.Context, r slog.Record) error {
-	line := r.Message
-	emit := func(a slog.Attr) {
-		line += " " + a.Key + "=" + a.Value.String()
-	}
-	for _, a := range h.attrs {
-		emit(a)
-	}
-	r.Attrs(func(a slog.Attr) bool { emit(a); return true })
-	h.logf("%s", line)
-	return nil
-}
-
-func (h logfHandler) WithAttrs(attrs []slog.Attr) slog.Handler {
-	h.attrs = append(append([]slog.Attr(nil), h.attrs...), attrs...)
-	return h
-}
-
-func (h logfHandler) WithGroup(string) slog.Handler { return h }

@@ -175,7 +175,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	base := "/api/v1/jobs/" + job.ID
 	writeJSON(w, http.StatusAccepted, submitResponse{
-		Snapshot: job.snapshot(),
+		Snapshot: job.accepted,
 		Links: map[string]string{
 			"self":   base,
 			"report": base + "/report",

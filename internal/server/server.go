@@ -129,13 +129,8 @@ type Config struct {
 	// because profiles expose internals no public deployment should.
 	EnablePprof bool
 	// Logger receives structured logs (job lifecycle with job IDs, HTTP
-	// requests with request IDs). nil falls back to an adapter over
-	// Logf, or to a discard logger when that is nil too.
+	// requests with request IDs). nil discards them.
 	Logger *slog.Logger
-	// Logf, when set (and Logger is not), receives one line per job
-	// state change. Deprecated in favour of Logger; kept so existing
-	// callers keep their logs.
-	Logf func(format string, args ...any)
 }
 
 // DefaultMaxJobs bounds the job table when Config.MaxJobs is zero: old
@@ -166,11 +161,7 @@ func (c Config) withDefaults() (Config, error) {
 		c.Metrics = obs.Default()
 	}
 	if c.Logger == nil {
-		if c.Logf != nil {
-			c.Logger = slog.New(logfHandler{logf: c.Logf})
-		} else {
-			c.Logger = slog.New(discardHandler{})
-		}
+		c.Logger = slog.New(discardHandler{})
 	}
 	return c, nil
 }
@@ -256,6 +247,11 @@ type Job struct {
 	seq    int
 	buffer []Event
 	subs   map[chan Event]struct{}
+
+	// accepted is the job as Submit enqueued it, taken before any worker
+	// can see the job: the submit ack reports it, so a 202 always says
+	// "queued" however fast a worker picks the job up.
+	accepted Snapshot
 }
 
 // Snapshot is an immutable copy of a job's observable state. TraceID,
@@ -636,6 +632,7 @@ func (m *Manager) Submit(ctx context.Context, req *SubmitRequest) (*Job, error) 
 	m.order = append(m.order, j.ID)
 	m.metrics.queueDepth.Inc()
 	evicted := m.pruneLocked()
+	j.accepted = j.snapshot()
 	m.cond.Signal()
 	m.mu.Unlock()
 

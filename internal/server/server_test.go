@@ -596,6 +596,43 @@ func TestRestartServesPersistedJobs(t *testing.T) {
 	}
 }
 
+// TestSubmitAckAlwaysQueued: a 202 reports the job as Submit enqueued
+// it, even when the single worker has already picked it up (or finished
+// it) by the time the handler writes the ack.
+func TestSubmitAckAlwaysQueued(t *testing.T) {
+	_, hs := newTestServer(t, etap.WithServeWorkers(1))
+	const n = 24
+	states := make([]string, n)
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			resp, err := http.Post(hs.URL+"/api/v1/jobs", "application/json",
+				strings.NewReader(`{"experiment":"table1"}`))
+			if err != nil {
+				states[i] = err.Error()
+				return
+			}
+			defer resp.Body.Close()
+			var ack struct {
+				State string `json:"state"`
+			}
+			if resp.StatusCode != http.StatusAccepted || json.NewDecoder(resp.Body).Decode(&ack) != nil {
+				states[i] = "status " + resp.Status
+				return
+			}
+			states[i] = ack.State
+		}(i)
+	}
+	wg.Wait()
+	for i, st := range states {
+		if st != string(server.StateQueued) {
+			t.Errorf("submit %d acked %q, want %q", i, st, server.StateQueued)
+		}
+	}
+}
+
 // TestHardenedRecoveryJob: a hardened job with recovery enabled reports
 // the availability columns, recovers trials, and streams "recovered"
 // outcomes over SSE.

@@ -2,15 +2,18 @@
 // runEngine retires dinstr slots instead of raw isa.Instr, so the per-step
 // cost drops to one bounds check, one budget check, and one switch on a
 // dense byte — class resolution, destination extraction and eligibility
-// all happened at compile time. The loop carries no tracing, recorder, or
-// plan triple-check; instrumented runs use the reference interpreter
-// (machine.run) instead, and the two are pinned bit-identical by
-// engine_test.go, engine_diff_test.go and FuzzEngineEquivalence.
+// all happened at compile time. It is the only production interpreter:
+// plain runs, checkpoint-resumed trials and the golden pass (Record) all
+// retire through it. A per-step reference interpreter lives with the tests
+// and is pinned bit-identical to it by engine_test.go,
+// engine_diff_test.go, record_test.go and FuzzEngineEquivalence.
 //
-// Invariants a machine entering runEngine must satisfy: m.rec == nil and
-// cfg.Trace == nil and cfg.SiteVisit == nil (instrumented paths are
-// reference-only), and a flat
-// (non-paged) machine has a dirty bitmap (it came from newScratch).
+// Invariants a machine entering runEngine must satisfy: a flat
+// (non-paged) machine has a dirty bitmap (it came from newScratch), and a
+// stream carrying eligMarked slots runs only under Record, which collects
+// the marks. The loop stops exactly at cfg.MaxInstr — between the two
+// halves of a fused pair if need be — and leaves the machine resumable
+// there, which is what lets Record run it in checkpoint-bounded segments.
 package sim
 
 import (
@@ -52,7 +55,7 @@ func (m *machine) runEngine(code []dinstr) {
 	// the exit paths and before operations that can fault or observe it
 	// (trap attribution reads m.pc). Every path that ends the run (fault,
 	// exit syscall, trapdet, budget) returns directly, so the loop itself
-	// needs no m.done check.
+	// needs no termination check.
 	pc := m.pc
 	for {
 		if uint(pc) >= uint(len(code)) {
@@ -235,7 +238,6 @@ func (m *machine) runEngine(code []dinstr) {
 		case uint8(isa.TRAPDET):
 			m.pc = pc
 			m.outcome = Detected
-			m.done = true
 			return
 
 		// Fused superinstructions. Each retires two reference steps: the
@@ -314,9 +316,13 @@ func (m *machine) runEngine(code []dinstr) {
 		}
 
 		// Post-retire fault accounting, mirroring the reference loop's
-		// mask check with the eligibility bit folded into the slot.
-		if d.elig {
+		// mask check with the eligibility bit folded into the slot. Only
+		// the golden pass's stream carries eligMarked.
+		if d.elig != 0 {
 			eligCount++
+			if d.elig&eligMarked != 0 {
+				m.mark(eligCount)
+			}
 			if eligCount == nextAt {
 				bit := injections[injected].Bit & 31
 				if d.dst != noDest {
@@ -337,6 +343,16 @@ func (m *machine) runEngine(code []dinstr) {
 	}
 }
 
+// mark records that eligible-stream ordinal o (1-based) retired at a
+// marked site, growing the golden pass's bitmap as the stream does.
+func (m *machine) mark(o uint64) {
+	w := int((o - 1) >> 6)
+	for len(m.marks) <= w {
+		m.marks = append(m.marks, 0)
+	}
+	m.marks[w] |= 1 << ((o - 1) & 63)
+}
+
 // Per-size memory helpers: the engine's counterparts of machine.load and
 // machine.store with the size switch resolved at compile time and the
 // fast-region paths inlined for both flat and paged machines. An aligned
@@ -344,8 +360,8 @@ func (m *machine) runEngine(code []dinstr) {
 // page-aligned), so the paged fast path is a single table lookup: pageTab
 // for loads, wrTab for stores (hit only once the page is private).
 // Everything else — sparse addresses, copy-on-write faults, page-limit
-// accounting — shares the reference implementations so those semantics
-// cannot drift.
+// accounting — falls through to machine.load and machine.store, which the
+// reference interpreter shares, so those semantics cannot drift.
 
 //etap:hotpath
 func (m *machine) load32(addr uint32, pc int) (uint32, bool) {

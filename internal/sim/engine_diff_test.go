@@ -1,26 +1,55 @@
-package etap
+package sim_test
 
-// The top-level differential harness for the predecoded execution engine:
+// The application-level differential harness for the predecoded engine:
 // every benchmark application — original and hardened — must produce
-// bit-identical sim.Results on the fast engine and on the reference
+// bit-identical sim.Results on the engine and on the reference
 // interpreter, clean and under injection plans spread across the eligible
-// stream. This is the acceptance gate that lets the engine replace the
-// interpreter in every campaign path (docs/PERF.md).
+// stream. This is the acceptance gate that lets the engine be the only
+// production interpreter (docs/PERF.md).
 
 import (
 	"reflect"
 	"testing"
 
+	"etap/internal/apps"
 	"etap/internal/apps/all"
 	"etap/internal/core"
+	"etap/internal/harden"
+	"etap/internal/isa"
+	"etap/internal/minic"
 	"etap/internal/sim"
 )
 
-// diffApp runs prog under cfg on both engines and requires equal Results.
-func diffApp(t *testing.T, name string, s *System, cfg sim.Config) sim.Result {
+// buildApp compiles an application and analyzes it under the
+// experiments' default policy.
+func buildApp(t testing.TB, app apps.App) *core.Report {
 	t.Helper()
-	got := sim.Run(s.prog, cfg)
-	want := sim.ReferenceRun(s.prog, cfg)
+	prog, err := minic.Build(app.Source())
+	if err != nil {
+		t.Fatalf("%s: build: %v", app.Name(), err)
+	}
+	rep, err := core.Analyze(prog, core.PolicyControlAddr)
+	if err != nil {
+		t.Fatalf("%s: analyze: %v", app.Name(), err)
+	}
+	return rep
+}
+
+// hardenApp is buildApp plus the default dup+cfs hardening rewrite.
+func hardenApp(t testing.TB, app apps.App) *isa.Program {
+	t.Helper()
+	res, err := harden.Harden(buildApp(t, app), harden.DefaultOptions())
+	if err != nil {
+		t.Fatalf("%s: harden: %v", app.Name(), err)
+	}
+	return res.Prog
+}
+
+// diffApp runs prog under cfg on both engines and requires equal Results.
+func diffApp(t *testing.T, name string, prog *isa.Program, cfg sim.Config) sim.Result {
+	t.Helper()
+	got := sim.Run(prog, cfg)
+	want := sim.ReferenceRun(prog, cfg)
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("%s: engine diverges from reference:\nengine:    %+v\nreference: %+v", name, got, want)
 	}
@@ -49,13 +78,11 @@ func TestEngineMatchesReferenceOnApps(t *testing.T) {
 		app := app
 		t.Run(app.Name(), func(t *testing.T) {
 			t.Parallel()
-			sys, err := Build(app.Source(), PolicyControlAddr)
-			if err != nil {
-				t.Fatalf("build: %v", err)
-			}
+			rep := buildApp(t, app)
+			prog := rep.Prog
 			input := app.Input()
 
-			clean := diffApp(t, "clean", sys, sim.Config{Input: input})
+			clean := diffApp(t, "clean", prog, sim.Config{Input: input})
 			if clean.Outcome != sim.OK {
 				t.Fatalf("clean run: %s (trap %s)", clean.Outcome, clean.Trap)
 			}
@@ -64,11 +91,11 @@ func TestEngineMatchesReferenceOnApps(t *testing.T) {
 			// Injections under the protected mask (tagged low-reliability
 			// instructions) and the unprotected everything-mask.
 			masks := map[string][]bool{
-				"tagged": sys.report.Tagged,
-				"all":    core.EligibleAll(sys.prog),
+				"tagged": rep.Tagged,
+				"all":    core.EligibleAll(prog),
 			}
 			for maskName, mask := range masks {
-				probe := diffApp(t, maskName+"/probe", sys,
+				probe := diffApp(t, maskName+"/probe", prog,
 					sim.Config{Input: input, Plan: &sim.FaultPlan{Eligible: mask}})
 				if probe.EligibleExec == 0 {
 					t.Fatalf("mask %s: no eligible executions", maskName)
@@ -79,7 +106,7 @@ func TestEngineMatchesReferenceOnApps(t *testing.T) {
 							Eligible:   mask,
 							Injections: []sim.Injection{{At: at, Bit: bit}},
 						}
-						diffApp(t, maskName+"/injected", sys,
+						diffApp(t, maskName+"/injected", prog,
 							sim.Config{Input: input, Plan: plan, MaxInstr: budget})
 					}
 				}
@@ -96,16 +123,9 @@ func TestEngineMatchesReferenceOnHardenedApps(t *testing.T) {
 		app := app
 		t.Run(app.Name(), func(t *testing.T) {
 			t.Parallel()
-			sys, err := Build(app.Source(), PolicyControlAddr)
-			if err != nil {
-				t.Fatalf("build: %v", err)
-			}
-			h, err := sys.Harden(DefaultHardenOptions())
-			if err != nil {
-				t.Fatalf("harden: %v", err)
-			}
+			prog := hardenApp(t, app)
 			input := app.Input()
-			clean := diffApp(t, "clean", h.System, sim.Config{Input: input})
+			clean := diffApp(t, "clean", prog, sim.Config{Input: input})
 			if clean.Outcome != sim.OK {
 				t.Fatalf("hardened clean run: %s (trap %s)", clean.Outcome, clean.Trap)
 			}
@@ -113,8 +133,8 @@ func TestEngineMatchesReferenceOnHardenedApps(t *testing.T) {
 			// Unprotected mask over the hardened program: flips can land in
 			// the duplicated slice, so some trials end Detected — both
 			// engines must agree on the detection point too.
-			mask := core.EligibleAll(h.prog)
-			probe := diffApp(t, "probe", h.System,
+			mask := core.EligibleAll(prog)
+			probe := diffApp(t, "probe", prog,
 				sim.Config{Input: input, Plan: &sim.FaultPlan{Eligible: mask}})
 			detected := 0
 			for _, at := range injectionOrdinals(probe.EligibleExec) {
@@ -123,7 +143,7 @@ func TestEngineMatchesReferenceOnHardenedApps(t *testing.T) {
 						Eligible:   mask,
 						Injections: []sim.Injection{{At: at, Bit: bit}},
 					}
-					res := diffApp(t, "injected", h.System,
+					res := diffApp(t, "injected", prog,
 						sim.Config{Input: input, Plan: plan, MaxInstr: clean.Instret * 2})
 					if res.Outcome == sim.Detected {
 						detected++
@@ -134,4 +154,28 @@ func TestEngineMatchesReferenceOnHardenedApps(t *testing.T) {
 				len(injectionOrdinals(probe.EligibleExec))*2)
 		})
 	}
+}
+
+// BenchmarkEngineScratch compares the predecoded engine against the
+// reference interpreter on identical from-scratch runs and reports raw
+// ns/instruction for each — the engine's headline per-step cost
+// (docs/PERF.md tracks this number across revisions).
+func BenchmarkEngineScratch(b *testing.B) {
+	a, _ := all.ByName("blowfish")
+	prog := buildApp(b, a).Prog
+	input := a.Input()
+	run := func(b *testing.B, exec func(*isa.Program, sim.Config) sim.Result) {
+		b.Helper()
+		var instret uint64
+		for i := 0; i < b.N; i++ {
+			res := exec(prog, sim.Config{Input: input})
+			if res.Outcome != sim.OK {
+				b.Fatalf("outcome %s", res.Outcome)
+			}
+			instret += res.Instret
+		}
+		b.ReportMetric(b.Elapsed().Seconds()*1e9/float64(instret), "ns/instruction")
+	}
+	b.Run("engine", func(b *testing.B) { run(b, sim.Run) })
+	b.Run("reference", func(b *testing.B) { run(b, sim.ReferenceRun) })
 }

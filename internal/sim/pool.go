@@ -201,7 +201,6 @@ func (rn *Runner) RunFrom(idx int, plan *FaultPlan, maxInstr uint64) Result {
 		}
 	}
 	if plan != nil {
-		m.eligible = plan.Eligible
 		m.injections = plan.Injections
 	}
 	start := time.Now()

@@ -1,6 +1,6 @@
-// Predecoding: the compile-once half of the execution engine. The per-step
-// interpreter in sim.go re-derives everything it needs from isa.Instr on
-// every retired instruction — opcode dispatch, Class for the histogram,
+// Predecoding: the compile-once half of the execution engine. A per-step
+// interpreter re-derives everything it needs from isa.Instr on every
+// retired instruction — opcode dispatch, Class for the histogram,
 // Dest() for injection, and an eligibility triple-check against the
 // FaultPlan mask. All of that is static per (program, mask) pair, so
 // compile() resolves it once into a dense stream of 16-byte dinstr slots
@@ -34,7 +34,7 @@ type dinstr struct {
 	rd2  uint8 // fused: destination slot of the second op (sink-redirected)
 	dst  uint8 // injection target of the retiring op; noDest when none
 	cls  uint8 // isa.Class of the first op
-	elig bool  // retiring slot's FaultPlan eligibility, folded at compile time
+	elig uint8 // retiring slot's eligible/eligMarked flags, folded at compile time
 	imm  int32
 	imm2 int32 // fused: second immediate, memory offset, or branch target
 }
@@ -48,6 +48,13 @@ const (
 	kSltBne                             // slt rd,rs,rt + bne rd,$zero,imm2
 	kSltuBeq                            // sltu variant of kSltBeq
 	kSltuBne                            // sltu variant of kSltBne
+)
+
+// dinstr.elig flags. eligFlag is the FaultPlan mask bit; eligMarked is set
+// on eligible slots whose site the golden pass's mark mask marks (Record).
+const (
+	eligFlag = 1 << iota
+	eligMarked
 )
 
 // noDest marks a slot whose retiring op writes no injectable register.
@@ -67,9 +74,19 @@ func rdx(r isa.Reg) uint8 {
 
 // compile predecodes text under an eligibility mask (nil or short masks
 // leave the uncovered tail ineligible, matching the interpreter's bounds
-// check). The result is immutable and safe to share across machines.
-func compile(text []isa.Instr, mask []bool) []dinstr {
-	elig := func(i int) bool { return i < len(mask) && mask[i] }
+// check) and a mark mask, which flags eligible slots eligMarked (nil for
+// every stream but the golden pass's). The result is immutable and safe to
+// share across machines.
+func compile(text []isa.Instr, mask, mark []bool) []dinstr {
+	elig := func(i int) uint8 {
+		if i >= len(mask) || !mask[i] {
+			return 0
+		}
+		if i < len(mark) && mark[i] {
+			return eligFlag | eligMarked
+		}
+		return eligFlag
+	}
 	code := make([]dinstr, len(text))
 	for i := range text {
 		in := &text[i]
@@ -99,7 +116,7 @@ func compile(text []isa.Instr, mask []bool) []dinstr {
 	// remains independently executable.
 	for i := 0; i+1 < len(text); i++ {
 		a, b := &text[i], &text[i+1]
-		if elig(i) || a.Rd == isa.RegZero {
+		if elig(i) != 0 || a.Rd == isa.RegZero {
 			continue
 		}
 		d := &code[i]
@@ -181,12 +198,12 @@ func codeFor(p *isa.Program, plan *FaultPlan) []dinstr {
 	}
 	if len(mask) == 0 {
 		if pc.plain == nil {
-			pc.plain = compile(p.Text, nil)
+			pc.plain = compile(p.Text, nil, nil)
 		}
 		return pc.plain
 	}
 	if pc.maskPtr != &mask[0] || pc.maskLen != len(mask) {
-		pc.masked = compile(p.Text, mask)
+		pc.masked = compile(p.Text, mask, nil)
 		pc.maskPtr = &mask[0]
 		pc.maskLen = len(mask)
 	}

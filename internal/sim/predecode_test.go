@@ -26,7 +26,7 @@ func TestCompileFusion(t *testing.T) {
 		{Op: isa.SLT, Rd: 16, Rs: 10, Rt: 11},          // 12: B compares a third reg, no fusion
 		{Op: isa.BNE, Rs: 17, Rt: isa.RegZero, Imm: 0}, // 13
 	}
-	code := compile(text, nil)
+	code := compile(text, nil, nil)
 	wantKinds := map[int]uint8{
 		0: kLuiOri, 2: kAddiLw, 4: kAddiSw, 6: kSltBne, 8: kSltuBeq,
 		10: uint8(isa.LUI), 12: uint8(isa.SLT),
@@ -51,7 +51,7 @@ func TestCompileFusion(t *testing.T) {
 	// injection scheduled between the two halves.
 	mask := make([]bool, len(text))
 	mask[0] = true
-	masked := compile(text, mask)
+	masked := compile(text, mask, nil)
 	if masked[0].kind != uint8(isa.LUI) {
 		t.Errorf("eligible A slot still fused: kind %d", masked[0].kind)
 	}
@@ -61,9 +61,19 @@ func TestCompileFusion(t *testing.T) {
 	// A fused pair retires with the B half's eligibility and injection dest.
 	bmask := make([]bool, len(text))
 	bmask[1] = true
-	bm := compile(text, bmask)
-	if bm[0].kind != kLuiOri || !bm[0].elig {
-		t.Errorf("fused pair did not take B's eligibility: kind %d elig %v", bm[0].kind, bm[0].elig)
+	bm := compile(text, bmask, nil)
+	if bm[0].kind != kLuiOri || bm[0].elig != eligFlag {
+		t.Errorf("fused pair did not take B's eligibility: kind %d elig %#x", bm[0].kind, bm[0].elig)
+	}
+	// ...and B's mark; marks on ineligible slots are dropped.
+	mark := make([]bool, len(text))
+	mark[1], mark[2] = true, true
+	mk := compile(text, bmask, mark)
+	if mk[0].kind != kLuiOri || mk[0].elig != eligFlag|eligMarked || mk[1].elig != eligFlag|eligMarked {
+		t.Errorf("fused pair did not take B's mark: elig %#x / %#x", mk[0].elig, mk[1].elig)
+	}
+	if mk[2].elig != 0 {
+		t.Errorf("ineligible marked slot carries flags %#x", mk[2].elig)
 	}
 	if bm[0].dst != 9 {
 		t.Errorf("fused pair dst = %d, want B's dest 9", bm[0].dst)
@@ -77,7 +87,7 @@ func TestEngineProgramsContainFusions(t *testing.T) {
 	seen := map[uint8]bool{}
 	for _, tc := range enginePrograms {
 		p := mustAssemble(t, tc.src)
-		for _, d := range compile(p.Text, nil) {
+		for _, d := range compile(p.Text, nil, nil) {
 			if d.kind >= uint8(isa.NumOps) {
 				seen[d.kind] = true
 			}

@@ -28,7 +28,6 @@ package sim
 import (
 	"encoding/binary"
 	"fmt"
-	"io"
 	"math"
 	"slices"
 	"time"
@@ -164,16 +163,6 @@ type Config struct {
 	Input []byte
 	// Plan optionally enables fault accounting and injection.
 	Plan *FaultPlan
-	// Trace, when non-nil, receives a disassembly line per executed
-	// instruction. Debugging only; it is very slow.
-	Trace io.Writer
-	// SiteVisit, when non-nil, receives the text index of every retired
-	// eligible instruction in dynamic (eligible-stream) order: the n-th
-	// call corresponds to eligible-stream ordinal n. Like Trace it is an
-	// instrumented path and forces the reference interpreter; the
-	// campaign engine sets it on the golden pass only, to map stream
-	// ordinals back to static fault sites.
-	SiteVisit func(pc int)
 }
 
 // Result is the outcome of a run.
@@ -230,9 +219,8 @@ func (r Result) DetectLatency() (lat uint64, ok bool) {
 const pageShift = 12
 const pageSize = 1 << pageShift
 
-// normalize fills Config defaults. Run, ReferenceRun, Record and Runner
-// trials all go through it, so the defaulting cannot drift between entry
-// points.
+// normalize fills Config defaults. Run, Record and Runner trials all go
+// through it, so the defaulting cannot drift between entry points.
 func (c Config) normalize() Config {
 	if c.MemSize == 0 {
 		c.MemSize = 8 << 20
@@ -254,40 +242,15 @@ func (c Config) normalize() Config {
 // Execution happens on the predecoded engine (predecode.go, engine.go):
 // the text segment is compiled once per (program, eligibility mask) pair
 // into a dense superinstruction stream and the hot loop dispatches over
-// that. Tracing runs fall back to the reference interpreter. The two paths
-// produce bit-identical Results — TestEngineMatchesReference and
-// FuzzEngineEquivalence enforce it.
+// that. The engine is pinned bit-identical to a per-step reference
+// interpreter that lives with the tests (TestEngineMatchesReference,
+// FuzzEngineEquivalence).
 func Run(p *isa.Program, cfg Config) Result {
 	cfg = cfg.normalize()
-	if cfg.Trace != nil || cfg.SiteVisit != nil {
-		return referenceRun(p, cfg)
-	}
 	code := codeFor(p, cfg.Plan)
 	m, buf := newScratch(p, cfg)
 	start := time.Now()
 	m.runEngine(code)
-	recordRunMetrics(simRunsScratch, m.instret, time.Since(start))
-	res := m.result()
-	buf.release()
-	return res
-}
-
-// ReferenceRun executes the program on the reference decode-dispatch
-// interpreter: the per-step switch over isa opcodes that predates the
-// predecoded engine. It stays in-tree as the semantic baseline — the
-// differential harness asserts bit-identical Results between both engines
-// for every app, hardened variant and injection plan — and it carries the
-// instrumented paths (tracing, checkpoint recording) the fast loop does
-// not implement.
-func ReferenceRun(p *isa.Program, cfg Config) Result {
-	return referenceRun(p, cfg.normalize())
-}
-
-// referenceRun expects a normalized cfg.
-func referenceRun(p *isa.Program, cfg Config) Result {
-	m, buf := newScratch(p, cfg)
-	start := time.Now()
-	m.run()
 	recordRunMetrics(simRunsScratch, m.instret, time.Since(start))
 	res := m.result()
 	buf.release()
@@ -311,9 +274,7 @@ func newScratch(p *isa.Program, cfg Config) (*machine, *scratchBuf) {
 	buf.markRange(isa.DataBase, uint32(n))
 	m.regs[isa.RegSP] = cfg.MemSize - 16
 	m.pc = p.Entry
-
 	if cfg.Plan != nil {
-		m.eligible = cfg.Plan.Eligible
 		m.injections = cfg.Plan.Injections
 	}
 	return m, buf
@@ -369,8 +330,10 @@ type machine struct {
 	pages   map[uint32]*[pageSize]byte
 	pc      int
 
-	// dirty, when non-nil, is a per-page bitmap over mem maintained by the
-	// flat store path so the pool can reset only written pages (pool.go).
+	// dirty is a per-page bitmap over a flat machine's mem, maintained by
+	// the flat store path so the pool can reset only written pages
+	// (pool.go) and Record can copy only pages written since the last
+	// checkpoint (snapshot.go).
 	dirty []uint64
 
 	// Paged mode replaces the flat mem array with a page table over the
@@ -387,16 +350,15 @@ type machine struct {
 	wrTab    []*[pageSize]byte
 	roSparse map[uint32]*[pageSize]byte
 
-	// rec, when non-nil, records snapshots of machine state every
-	// rec.interval instructions (see snapshot.go).
-	rec *recorder
+	// marks is the golden pass's bitmap over eligible-stream ordinals
+	// that retired at a marked site (see mark); nil outside Record.
+	marks []uint64
 
 	input []byte
 	inPos int
 	out   []byte
 	cfg   Config
 
-	eligible        []bool
 	injections      []Injection
 	injected        int
 	firstInjInstret uint64
@@ -408,13 +370,11 @@ type machine struct {
 	outcome  Outcome
 	trap     Trap
 	exitCode int32
-	done     bool
 }
 
 func (m *machine) fault(kind TrapKind, addr uint32) {
 	m.outcome = Crash
 	m.trap = Trap{Kind: kind, PC: m.pc, Addr: addr}
-	m.done = true
 }
 
 // load reads size bytes at addr. Aligned accesses never straddle a page.
@@ -474,12 +434,7 @@ func (m *machine) store(addr, size, val uint32) bool {
 	} else if addr+size <= m.memSize && addr+size > addr {
 		buf = m.mem[addr:]
 		pn := addr >> pageShift
-		if m.dirty != nil {
-			m.dirty[pn>>6] |= 1 << (pn & 63)
-		}
-		if m.rec != nil {
-			m.rec.dirtyFast(pn)
-		}
+		m.dirty[pn>>6] |= 1 << (pn & 63)
 	} else {
 		pn := addr >> pageShift
 		pg, ok := m.pages[pn]
@@ -493,9 +448,6 @@ func (m *machine) store(addr, size, val uint32) bool {
 			}
 			pg = new([pageSize]byte)
 			m.pages[pn] = pg
-		}
-		if m.rec != nil {
-			m.rec.dirtySparse(pn)
 		}
 		buf = pg[addr&(pageSize-1):]
 	}
@@ -621,217 +573,6 @@ func srem(a, b int32) int32 {
 // codeIdx converts an architectural code address to a text index.
 func codeIdx(addr uint32) int { return int(int64(addr) - int64(isa.TextBase)) }
 
-func (m *machine) run() {
-	for !m.done {
-		if m.pc < 0 || m.pc >= len(m.text) {
-			m.fault(TrapBadPC, uint32(m.pc))
-			return
-		}
-		if m.instret >= m.cfg.MaxInstr {
-			m.outcome = Timeout
-			return
-		}
-		if m.rec != nil && m.instret == m.rec.next {
-			m.rec.capture(m)
-		}
-		in := m.text[m.pc]
-		m.instret++
-		m.classCounts[in.Class()]++
-		if m.cfg.Trace != nil {
-			fmt.Fprintf(m.cfg.Trace, "%8d pc=%-6d %s\n", m.instret, m.pc, isa.Disasm(in))
-		}
-		next := m.pc + 1
-		r := &m.regs
-
-		switch in.Op {
-		case isa.NOP:
-		case isa.ADD:
-			m.setReg(in.Rd, uint32(int32(r[in.Rs])+int32(r[in.Rt])))
-		case isa.SUB:
-			m.setReg(in.Rd, uint32(int32(r[in.Rs])-int32(r[in.Rt])))
-		case isa.MUL:
-			m.setReg(in.Rd, uint32(int32(r[in.Rs])*int32(r[in.Rt])))
-		case isa.DIV:
-			if r[in.Rt] == 0 {
-				m.fault(TrapDivZero, 0)
-				return
-			}
-			m.setReg(in.Rd, uint32(sdiv(int32(r[in.Rs]), int32(r[in.Rt]))))
-		case isa.REM:
-			if r[in.Rt] == 0 {
-				m.fault(TrapDivZero, 0)
-				return
-			}
-			m.setReg(in.Rd, uint32(srem(int32(r[in.Rs]), int32(r[in.Rt]))))
-		case isa.AND:
-			m.setReg(in.Rd, r[in.Rs]&r[in.Rt])
-		case isa.OR:
-			m.setReg(in.Rd, r[in.Rs]|r[in.Rt])
-		case isa.XOR:
-			m.setReg(in.Rd, r[in.Rs]^r[in.Rt])
-		case isa.NOR:
-			m.setReg(in.Rd, ^(r[in.Rs] | r[in.Rt]))
-		case isa.SLLV:
-			m.setReg(in.Rd, r[in.Rs]<<(r[in.Rt]&31))
-		case isa.SRLV:
-			m.setReg(in.Rd, r[in.Rs]>>(r[in.Rt]&31))
-		case isa.SRAV:
-			m.setReg(in.Rd, uint32(int32(r[in.Rs])>>(r[in.Rt]&31)))
-		case isa.SLT:
-			m.setReg(in.Rd, b2u(int32(r[in.Rs]) < int32(r[in.Rt])))
-		case isa.SLTU:
-			m.setReg(in.Rd, b2u(r[in.Rs] < r[in.Rt]))
-
-		case isa.ADDI:
-			m.setReg(in.Rd, uint32(int32(r[in.Rs])+in.Imm))
-		case isa.ANDI:
-			m.setReg(in.Rd, r[in.Rs]&uint32(in.Imm))
-		case isa.ORI:
-			m.setReg(in.Rd, r[in.Rs]|uint32(in.Imm))
-		case isa.XORI:
-			m.setReg(in.Rd, r[in.Rs]^uint32(in.Imm))
-		case isa.SLL:
-			m.setReg(in.Rd, r[in.Rs]<<(uint32(in.Imm)&31))
-		case isa.SRL:
-			m.setReg(in.Rd, r[in.Rs]>>(uint32(in.Imm)&31))
-		case isa.SRA:
-			m.setReg(in.Rd, uint32(int32(r[in.Rs])>>(uint32(in.Imm)&31)))
-		case isa.SLTI:
-			m.setReg(in.Rd, b2u(int32(r[in.Rs]) < in.Imm))
-		case isa.LUI:
-			m.setReg(in.Rd, uint32(in.Imm)<<16)
-
-		case isa.ADDF:
-			m.setReg(in.Rd, bits(f32(r[in.Rs])+f32(r[in.Rt])))
-		case isa.SUBF:
-			m.setReg(in.Rd, bits(f32(r[in.Rs])-f32(r[in.Rt])))
-		case isa.MULF:
-			m.setReg(in.Rd, bits(f32(r[in.Rs])*f32(r[in.Rt])))
-		case isa.DIVF:
-			m.setReg(in.Rd, bits(f32(r[in.Rs])/f32(r[in.Rt])))
-		case isa.CVTIF:
-			m.setReg(in.Rd, bits(float32(int32(r[in.Rs]))))
-		case isa.CVTFI:
-			m.setReg(in.Rd, uint32(f2i(f32(r[in.Rs]))))
-		case isa.CEQF:
-			m.setReg(in.Rd, b2u(f32(r[in.Rs]) == f32(r[in.Rt])))
-		case isa.CLTF:
-			m.setReg(in.Rd, b2u(f32(r[in.Rs]) < f32(r[in.Rt])))
-		case isa.CLEF:
-			m.setReg(in.Rd, b2u(f32(r[in.Rs]) <= f32(r[in.Rt])))
-
-		case isa.LW:
-			v, ok := m.load(uint32(int32(r[in.Rs])+in.Imm), 4)
-			if !ok {
-				return
-			}
-			m.setReg(in.Rd, v)
-		case isa.LH:
-			v, ok := m.load(uint32(int32(r[in.Rs])+in.Imm), 2)
-			if !ok {
-				return
-			}
-			m.setReg(in.Rd, uint32(int32(int16(v))))
-		case isa.LHU:
-			v, ok := m.load(uint32(int32(r[in.Rs])+in.Imm), 2)
-			if !ok {
-				return
-			}
-			m.setReg(in.Rd, v)
-		case isa.LB:
-			v, ok := m.load(uint32(int32(r[in.Rs])+in.Imm), 1)
-			if !ok {
-				return
-			}
-			m.setReg(in.Rd, uint32(int32(int8(v))))
-		case isa.LBU:
-			v, ok := m.load(uint32(int32(r[in.Rs])+in.Imm), 1)
-			if !ok {
-				return
-			}
-			m.setReg(in.Rd, v)
-		case isa.SW:
-			if !m.store(uint32(int32(r[in.Rs])+in.Imm), 4, r[in.Rt]) {
-				return
-			}
-		case isa.SH:
-			if !m.store(uint32(int32(r[in.Rs])+in.Imm), 2, r[in.Rt]) {
-				return
-			}
-		case isa.SB:
-			if !m.store(uint32(int32(r[in.Rs])+in.Imm), 1, r[in.Rt]) {
-				return
-			}
-
-		case isa.BEQ:
-			if r[in.Rs] == r[in.Rt] {
-				next = int(in.Imm)
-			}
-		case isa.BNE:
-			if r[in.Rs] != r[in.Rt] {
-				next = int(in.Imm)
-			}
-		case isa.BLEZ:
-			if int32(r[in.Rs]) <= 0 {
-				next = int(in.Imm)
-			}
-		case isa.BGTZ:
-			if int32(r[in.Rs]) > 0 {
-				next = int(in.Imm)
-			}
-		case isa.BLTZ:
-			if int32(r[in.Rs]) < 0 {
-				next = int(in.Imm)
-			}
-		case isa.BGEZ:
-			if int32(r[in.Rs]) >= 0 {
-				next = int(in.Imm)
-			}
-		case isa.J:
-			next = int(in.Imm)
-		case isa.JAL:
-			m.setReg(isa.RegRA, isa.TextBase+uint32(m.pc+1))
-			next = int(in.Imm)
-		case isa.JR:
-			next = codeIdx(r[in.Rs])
-		case isa.JALR:
-			m.setReg(in.Rd, isa.TextBase+uint32(m.pc+1))
-			next = codeIdx(r[in.Rs])
-
-		case isa.SYSCALL:
-			if !m.syscall() {
-				return
-			}
-
-		case isa.TRAPDET:
-			m.outcome = Detected
-			m.done = true
-			return
-		}
-
-		// Fault accounting and injection happen after writeback so the
-		// flipped bit lands in the committed result.
-		if m.eligible != nil && m.pc < len(m.eligible) && m.eligible[m.pc] {
-			m.eligCount++
-			if m.cfg.SiteVisit != nil {
-				m.cfg.SiteVisit(m.pc)
-			}
-			if m.injected < len(m.injections) && m.eligCount == m.injections[m.injected].At {
-				bit := m.injections[m.injected].Bit & 31
-				if d, ok := in.Dest(); ok && d != isa.RegZero {
-					m.regs[d] ^= 1 << bit
-				}
-				if m.injected == 0 {
-					m.firstInjInstret = m.instret
-				}
-				m.injected++
-			}
-		}
-
-		m.pc = next
-	}
-}
-
 // maxSyscallLen bounds a single read/write syscall; a corrupted length
 // register asking for more is treated as the host refusing the allocation.
 const maxSyscallLen = 4 << 20
@@ -842,7 +583,6 @@ func (m *machine) syscall() bool {
 	case SysExit:
 		m.outcome = OK
 		m.exitCode = int32(r[isa.RegA0])
-		m.done = true
 		return false
 	case SysWrite:
 		addr, n := r[isa.RegA0], r[isa.RegA1]

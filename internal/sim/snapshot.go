@@ -77,12 +77,13 @@ type Recording struct {
 	Result Result
 
 	prog   *isa.Program
-	cfg    Config // defaults applied; Plan/Trace/SiteVisit stripped
+	cfg    Config // defaults applied; Plan stripped
 	snaps  []*Snapshot
 	base   []*[pageSize]byte // initial fast-region image (data segment)
 	elig   []bool            // eligibility mask the golden pass counted with
 	maskFP uint64            // fingerprint of elig; restores reject other masks
 	code   []dinstr          // predecoded stream with elig folded in
+	marks  []uint64          // bit o-1 set: eligible ordinal o retired at a marked site
 }
 
 // maskFingerprint hashes an eligibility mask (FNV-1a over length and
@@ -112,32 +113,27 @@ func maskFingerprint(elig []bool) uint64 {
 // plan's mask does not match it.
 func (r *Recording) MaskFingerprint() uint64 { return r.maskFP }
 
-// recorder holds the capture state threaded through the machine during a
-// golden pass.
+// recorder holds the capture state of a golden pass.
 type recorder struct {
 	interval uint64
 	next     uint64
 	maxSnaps int
 
-	fastDirty   []uint64 // bitmap over fast-region page numbers
-	sparseDirty map[uint32]struct{}
-	cum         map[uint32]*[pageSize]byte // all pages dirtied since run start
-	snaps       []*Snapshot
+	written []uint64                   // fast-region pages the pass wrote before the last capture
+	cum     map[uint32]*[pageSize]byte // latest copy of every page written since run start
+	snaps   []*Snapshot
 }
 
-func (r *recorder) dirtyFast(pn uint32) {
-	r.fastDirty[pn>>6] |= 1 << (pn & 63)
-}
-
-func (r *recorder) dirtySparse(pn uint32) {
-	r.sparseDirty[pn] = struct{}{}
-}
-
-// capture folds pages dirtied since the previous checkpoint into the
+// capture folds pages written since the previous checkpoint into the
 // cumulative page map and snapshots the machine state between
-// instructions.
+// instructions. Between captures the machine's dirty bitmap holds exactly
+// the fast-region pages written since the last one: capture copies them,
+// moves their bits into written (so the scratch pool can still zero every
+// page the pass wrote) and clears the bitmap. Sparse pages carry no dirty
+// bits; one is copied when it differs from its last copy.
 func (r *recorder) capture(m *machine) {
-	for w, word := range r.fastDirty {
+	for w, word := range m.dirty {
+		r.written[w] |= word
 		for word != 0 {
 			b := word & -word
 			word ^= b
@@ -146,13 +142,14 @@ func (r *recorder) capture(m *machine) {
 			copy(pg[:], m.mem[pn<<pageShift:])
 			r.cum[pn] = pg
 		}
-		r.fastDirty[w] = 0
+		m.dirty[w] = 0
 	}
-	for pn := range r.sparseDirty {
-		pg := new([pageSize]byte)
-		*pg = *m.pages[pn]
-		r.cum[pn] = pg
-		delete(r.sparseDirty, pn)
+	for pn, pg := range m.pages {
+		if old := r.cum[pn]; old == nil || *old != *pg {
+			cp := new([pageSize]byte)
+			*cp = *pg
+			r.cum[pn] = cp
+		}
 	}
 	pages := make(map[uint32]*[pageSize]byte, len(r.cum))
 	for pn, pg := range r.cum {
@@ -187,7 +184,12 @@ func (r *recorder) capture(m *machine) {
 // eligible-stream position) but no injections — the golden pass must be
 // fault-free. cfg.MemSize must be page-aligned so the fast/sparse boundary
 // coincides with a page boundary.
-func Record(p *isa.Program, cfg Config, opt RecordOptions) (*Recording, error) {
+//
+// mark, when given, is a per-text-index mask of sites the caller wants
+// located in the eligible stream: afterwards Marked(o) reports whether
+// eligible ordinal o retired at a marked site. The campaign engine passes
+// the statically benign sites, so pruning costs no extra pass.
+func Record(p *isa.Program, cfg Config, opt RecordOptions, mark ...bool) (*Recording, error) {
 	opt = opt.withDefaults()
 	cfg = cfg.normalize()
 	if cfg.MemSize%pageSize != 0 {
@@ -196,32 +198,50 @@ func Record(p *isa.Program, cfg Config, opt RecordOptions) (*Recording, error) {
 	if cfg.Plan != nil && len(cfg.Plan.Injections) > 0 {
 		return nil, fmt.Errorf("sim: cannot record a golden pass with injections scheduled")
 	}
-	cfg.Trace = nil
-
-	fastPages := cfg.MemSize >> pageShift
-	rec := &recorder{
-		interval:    opt.Interval,
-		next:        opt.Interval,
-		maxSnaps:    opt.MaxSnapshots,
-		fastDirty:   make([]uint64, (fastPages+63)/64),
-		sparseDirty: make(map[uint32]struct{}),
-		cum:         make(map[uint32]*[pageSize]byte),
-	}
-	// The golden pass runs on the reference interpreter: it is the engine
-	// that carries the recorder hook, and recording is rare enough that
-	// raw speed does not matter.
-	m, buf := newScratch(p, cfg)
-	m.rec = rec
 	var elig []bool
 	if cfg.Plan != nil {
 		elig = cfg.Plan.Eligible
 	}
+	code := compile(p.Text, elig, nil)
+	golden := code
+	if len(mark) > 0 {
+		golden = compile(p.Text, elig, mark)
+	}
+
+	m, buf := newScratch(p, cfg)
+	rec := &recorder{
+		interval: opt.Interval,
+		next:     opt.Interval,
+		maxSnaps: opt.MaxSnapshots,
+		written:  make([]uint64, len(m.dirty)),
+		cum:      make(map[uint32]*[pageSize]byte),
+	}
+	// The data-segment copy is in the base image, not in any checkpoint.
+	copy(rec.written, m.dirty)
+	clear(m.dirty)
+
+	// The golden pass runs on the engine in segments that end at the next
+	// checkpoint: the segment bound is a budget, and the engine stops
+	// exactly on it (mid-pair if need be) with the machine resumable. A
+	// segment that times out below the real budget is a checkpoint, not
+	// the end of the run.
 	start := time.Now()
-	m.run()
+	for {
+		m.cfg.MaxInstr = min(rec.next, cfg.MaxInstr)
+		m.runEngine(golden)
+		if m.outcome != Timeout || m.instret != rec.next || rec.next >= cfg.MaxInstr {
+			break
+		}
+		m.outcome = OK
+		rec.capture(m)
+	}
 	recordRunMetrics(simRunsRecord, m.instret, time.Since(start))
 	simCheckpoints.Add(float64(len(rec.snaps)))
 
 	res := m.result()
+	for w, word := range rec.written {
+		m.dirty[w] |= word
+	}
 	buf.release()
 	for _, s := range rec.snaps {
 		s.out = res.Output[:s.outLen:s.outLen]
@@ -231,6 +251,7 @@ func Record(p *isa.Program, cfg Config, opt RecordOptions) (*Recording, error) {
 	// into shared read-only pages. Restored machines overlay checkpoint
 	// pages on top of it. Iterating page numbers covers the final partial
 	// page even if DataBase is not page-aligned.
+	fastPages := cfg.MemSize >> pageShift
 	base := make([]*[pageSize]byte, fastPages)
 	if len(p.Data) > 0 {
 		first := isa.DataBase >> pageShift
@@ -251,7 +272,6 @@ func Record(p *isa.Program, cfg Config, opt RecordOptions) (*Recording, error) {
 
 	strip := cfg
 	strip.Plan = nil
-	strip.SiteVisit = nil
 	return &Recording{
 		Result: res,
 		prog:   p,
@@ -260,8 +280,32 @@ func Record(p *isa.Program, cfg Config, opt RecordOptions) (*Recording, error) {
 		base:   base,
 		elig:   elig,
 		maskFP: maskFingerprint(elig),
-		code:   compile(p.Text, elig),
+		code:   code,
+		marks:  m.marks,
 	}, nil
+}
+
+// Marked reports whether eligible-stream ordinal o (1-based) of the golden
+// pass retired at a site of the mark mask passed to Record.
+func (r *Recording) Marked(o uint64) bool {
+	if o == 0 {
+		return false
+	}
+	w := (o - 1) >> 6
+	if w >= uint64(len(r.marks)) {
+		return false
+	}
+	return r.marks[w]>>((o-1)&63)&1 == 1
+}
+
+// MarkedExec is how many of the golden pass's eligible executions retired
+// at marked sites.
+func (r *Recording) MarkedExec() uint64 {
+	var n uint64
+	for _, word := range r.marks {
+		n += uint64(mathbits.OnesCount64(word))
+	}
+	return n
 }
 
 // Snapshots returns the captured checkpoints in execution order.

@@ -40,7 +40,6 @@ type serveConfig struct {
 	maxBody     int64
 	maxJobs     int
 	pprof       bool
-	logf        func(format string, args ...any)
 	logger      *slog.Logger
 	otlpURL     string
 	traceSample float64
@@ -75,11 +74,6 @@ func WithServeStateFile(path string) ServeOption {
 	return func(c *serveConfig) { c.stateFile = path }
 }
 
-// WithServeLog routes one line per job state change to logf.
-func WithServeLog(logf func(format string, args ...any)) ServeOption {
-	return func(c *serveConfig) { c.logf = logf }
-}
-
 // WithServeMaxBody bounds submission bodies in bytes. 0 means 8 MiB
 // (room for the per-field source/input limits after JSON escaping).
 func WithServeMaxBody(n int64) ServeOption {
@@ -102,8 +96,8 @@ func WithServePprof() ServeOption {
 }
 
 // WithServeLogger routes structured logs (job lifecycle with job IDs,
-// HTTP requests with request IDs) to l. Takes precedence over
-// WithServeLog when both are set.
+// HTTP requests with request IDs) to l. Without it the service logs
+// nothing.
 func WithServeLogger(l *slog.Logger) ServeOption {
 	return func(c *serveConfig) { c.logger = l }
 }
@@ -160,7 +154,6 @@ func NewServer(opts ...ServeOption) (*Server, error) {
 		MaxJobs:      cfg.maxJobs,
 		EnablePprof:  cfg.pprof,
 		Logger:       cfg.logger,
-		Logf:         cfg.logf,
 		Tracer:       s.tracer,
 		Stats: func() map[string]any {
 			return map[string]any{
