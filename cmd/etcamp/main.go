@@ -212,7 +212,7 @@ func runCampaigns(ctx context.Context, opt options, stderr io.Writer) ([]*campai
 					note = " (cancelled)"
 				}
 				fmt.Fprintf(stderr, "[%s/%s] errors=%d trials=%d fail=%.1f%% [%.1f, %.1f] accept=%.1f%% in %.2fs%s\n",
-					a.Name(), mode, n, p.Trials, p.FailPct, p.FailLoPct, p.FailHiPct, p.AcceptPct,
+					a.Name(), mode, n, p.Trials, p.FailPct, p.FailLowPct, p.FailHighPct, p.AcceptPct,
 					time.Since(start).Seconds(), note)
 				points = append(points, p)
 				if p.Cancelled {
@@ -243,7 +243,7 @@ func writeText(w io.Writer, reports []*campaign.Report) error {
 				strconv.Itoa(p.Errors),
 				strconv.Itoa(p.Trials),
 				fmt.Sprintf("%.1f%%", p.FailPct),
-				fmt.Sprintf("[%.1f, %.1f]", p.FailLoPct, p.FailHiPct),
+				fmt.Sprintf("[%.1f, %.1f]", p.FailLowPct, p.FailHighPct),
 				fmt.Sprintf("%.1f%%", p.AcceptPct),
 				mean,
 				stopped,

@@ -195,7 +195,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 				note = " (cancelled)"
 			}
 			fmt.Fprintf(stderr, "[%s/%s] %d trials: %.1f%% detected [%.1f, %.1f] latency p50=%d p95=%d in %.2fs%s\n",
-				a.Name(), pol, pt.Trials, pt.DetectPct, pt.DetectLoPct, pt.DetectHiPct,
+				a.Name(), pol, pt.Trials, pt.DetectPct, pt.DetectLowPct, pt.DetectHighPct,
 				pt.DetectLatencyP50, pt.DetectLatencyP95,
 				time.Since(start).Seconds(), note)
 
@@ -238,7 +238,7 @@ func writeText(w io.Writer, rows []row, opts harden.Options, errors int) error {
 			fmt.Sprintf("%.2fx", r.staticOvh),
 			fmt.Sprintf("%.2fx", r.dynamicOvh),
 			fmt.Sprintf("%.1f%%", p.DetectPct),
-			fmt.Sprintf("[%.1f, %.1f]", p.DetectLoPct, p.DetectHiPct),
+			fmt.Sprintf("[%.1f, %.1f]", p.DetectLowPct, p.DetectHighPct),
 			strconv.FormatUint(p.DetectLatencyP50, 10),
 			strconv.FormatUint(p.DetectLatencyP95, 10),
 			strconv.Itoa(p.Crashes),
@@ -273,8 +273,8 @@ func writeCSV(w io.Writer, rows []row) error {
 			strconv.Itoa(p.Crashes), strconv.Itoa(p.Timeouts),
 			strconv.Itoa(p.Completed - p.Masked), strconv.Itoa(p.Masked),
 			strconv.FormatFloat(p.DetectPct, 'f', 2, 64),
-			strconv.FormatFloat(p.DetectLoPct, 'f', 2, 64),
-			strconv.FormatFloat(p.DetectHiPct, 'f', 2, 64),
+			strconv.FormatFloat(p.DetectLowPct, 'f', 2, 64),
+			strconv.FormatFloat(p.DetectHighPct, 'f', 2, 64),
 			strconv.FormatUint(p.DetectLatencyP50, 10),
 			strconv.FormatUint(p.DetectLatencyP95, 10),
 		}); err != nil {

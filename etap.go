@@ -437,115 +437,11 @@ func (c *Campaign) Run(n int, seed int64) RunResult {
 	return fromSim(c.c.Run(n, seed))
 }
 
-// PointStats aggregates one measurement point.
-type PointStats struct {
-	Errors   int
-	Trials   int
-	Crashes  int
-	Timeouts int
-	// Detected counts trials a hardened program stopped via a redundancy
-	// check; always zero for unhardened systems.
-	Detected  int
-	Completed int
-	// Masked counts completed trials whose output was bit-identical to
-	// the fault-free output.
-	Masked int
-	// Accepted counts completed trials that passed the fidelity
-	// threshold.
-	Accepted int
-	// MeanValue is the mean fidelity value over completed trials (NaN
-	// without a scorer or completions).
-	MeanValue float64
-	FailPct   float64
-	AcceptPct float64
-	// FailLowPct/FailHighPct bound the catastrophic-failure rate with a
-	// Wilson 95% confidence interval.
-	FailLowPct  float64
-	FailHighPct float64
-	// DetectPct is the percentage of trials stopped by redundancy checks,
-	// bounded by the Wilson 95% interval [DetectLowPct, DetectHighPct].
-	// Over a detection campaign this is the realized detection coverage.
-	DetectPct     float64
-	DetectLowPct  float64
-	DetectHighPct float64
-	// DetectLatencyP50/P95 are nearest-rank percentiles, over Detected
-	// trials, of the distance (in retired instructions) between the first
-	// injected fault and the redundancy check that caught it; 0 when
-	// nothing was detected. The window bounds how long corrupted state
-	// was live — i.e. how far a checkpoint-rollback recovery must rewind.
-	DetectLatencyP50 uint64
-	DetectLatencyP95 uint64
-	// Recovered counts trials that trapped, rolled back to a checkpoint
-	// and completed with output bit-identical to the fault-free run;
-	// Degraded counts completions that survived one or more replays with
-	// output still differing from it. Both are zero without WithRecovery.
-	// RecoveryAttempts totals restore-replay rounds across all trials, and
-	// RecoverLatencyP50/P95 are nearest-rank percentiles, over Recovered
-	// trials, of the instructions their replays retired.
-	Recovered         int
-	Degraded          int
-	RecoveryAttempts  int
-	RecoverPct        float64
-	RecoverLowPct     float64
-	RecoverHighPct    float64
-	RecoverLatencyP50 uint64
-	RecoverLatencyP95 uint64
-	// Availability accounting in the tolerated/detected/untolerated style:
-	// Tolerated = Accepted + Recovered, Untolerated is everything except
-	// Tolerated and Detected, and Tolerated + Detected + Untolerated ==
-	// Trials. AvailabilityPct = 100 * Tolerated / Trials with a Wilson 95%
-	// interval [AvailabilityLowPct, AvailabilityHighPct].
-	Tolerated           int
-	Untolerated         int
-	AvailabilityPct     float64
-	AvailabilityLowPct  float64
-	AvailabilityHighPct float64
-	EarlyStopped        bool
-	// Cancelled marks a partial aggregate from a point whose context was
-	// cancelled mid-run. Cancelled numbers are not reproducible; an
-	// uncancelled re-run of the same point is.
-	Cancelled bool
-}
-
-func fromPoint(r campaign.PointResult) PointStats {
-	return PointStats{
-		Errors:           r.Errors,
-		Trials:           r.Trials,
-		Crashes:          r.Crashes,
-		Timeouts:         r.Timeouts,
-		Detected:         r.Detected,
-		Completed:        r.Completed,
-		Masked:           r.Masked,
-		Accepted:         r.Accepted,
-		MeanValue:        r.MeanValue,
-		FailPct:          r.FailPct,
-		AcceptPct:        r.AcceptPct,
-		FailLowPct:       r.FailLoPct,
-		FailHighPct:      r.FailHiPct,
-		DetectPct:        r.DetectPct,
-		DetectLowPct:     r.DetectLoPct,
-		DetectHighPct:    r.DetectHiPct,
-		DetectLatencyP50: r.DetectLatencyP50,
-		DetectLatencyP95: r.DetectLatencyP95,
-
-		Recovered:           r.Recovered,
-		Degraded:            r.Degraded,
-		RecoveryAttempts:    r.RecoveryAttempts,
-		RecoverPct:          r.RecoverPct,
-		RecoverLowPct:       r.RecoverLoPct,
-		RecoverHighPct:      r.RecoverHiPct,
-		RecoverLatencyP50:   r.RecoverLatencyP50,
-		RecoverLatencyP95:   r.RecoverLatencyP95,
-		Tolerated:           r.Tolerated,
-		Untolerated:         r.Untolerated,
-		AvailabilityPct:     r.AvailabilityPct,
-		AvailabilityLowPct:  r.AvailabilityLoPct,
-		AvailabilityHighPct: r.AvailabilityHiPct,
-
-		EarlyStopped: r.EarlyStopped,
-		Cancelled:    r.Cancelled,
-	}
-}
+// PointStats aggregates one measurement point: outcome counts, rates
+// with Wilson 95% intervals, detection and recovery latencies, and
+// availability accounting. Field documentation lives on
+// campaign.PointResult.
+type PointStats = campaign.PointResult
 
 // RunPoint executes up to WithTrials independent trials with the given
 // error count, sharded across the worker pool, and aggregates them
@@ -554,7 +450,7 @@ func fromPoint(r campaign.PointResult) PointStats {
 // returns the partial aggregate with Cancelled set.
 func (c *Campaign) RunPoint(ctx context.Context, errors int, opts ...Option) PointStats {
 	cfg := applyOptions(opts)
-	return fromPoint(c.c.RunPoint(ctx, cfg.point(errors), cfg.observer()))
+	return c.c.RunPoint(ctx, cfg.point(errors), cfg.observer())
 }
 
 // Sweep runs RunPoint for each error count, stopping early (with the
@@ -566,7 +462,7 @@ func (c *Campaign) Sweep(ctx context.Context, errorCounts []int, opts ...Option)
 		if ctx.Err() != nil {
 			return out
 		}
-		out = append(out, fromPoint(c.c.RunPoint(ctx, cfg.point(n), cfg.observer())))
+		out = append(out, c.c.RunPoint(ctx, cfg.point(n), cfg.observer()))
 	}
 	return out
 }

@@ -93,31 +93,44 @@ func (a *aggregate) ciWidth() float64 {
 	return fhi - flo
 }
 
-// PointResult aggregates one measurement point. Detected counts trials a
-// hardened program stopped via trapdet (see internal/harden); for programs
-// without redundancy checks it is always zero. Detected trials are neither
-// completions nor catastrophic failures, so FailPct and AcceptPct exclude
-// them by construction (both are fractions of all trials).
+// PointResult aggregates one measurement point; the public API exports
+// it as etap.PointStats. Detected trials are neither completions nor
+// catastrophic failures, so FailPct and AcceptPct exclude them by
+// construction (both are fractions of all trials). Every *LowPct/*HighPct
+// pair is a Wilson 95% interval around the percentage it follows.
 type PointResult struct {
-	Errors      int     `json:"errors"`
-	LoBit       uint8   `json:"lo_bit"`
-	HiBit       uint8   `json:"hi_bit"`
-	Trials      int     `json:"trials"`
-	Crashes     int     `json:"crashes"`
-	Timeouts    int     `json:"timeouts"`
-	Detected    int     `json:"detected"`
-	Completed   int     `json:"completed"`
-	Masked      int     `json:"masked"`
-	Accepted    int     `json:"accepted"`
+	Errors int `json:"errors"`
+	// LoBit/HiBit bound the bit positions faults were drawn from.
+	LoBit    uint8 `json:"lo_bit"`
+	HiBit    uint8 `json:"hi_bit"`
+	Trials   int   `json:"trials"`
+	Crashes  int   `json:"crashes"`
+	Timeouts int   `json:"timeouts"`
+	// Detected counts trials a hardened program stopped via trapdet (see
+	// internal/harden); always zero without redundancy checks.
+	Detected  int `json:"detected"`
+	Completed int `json:"completed"`
+	// Masked counts completed trials whose output was bit-identical to
+	// the fault-free output.
+	Masked int `json:"masked"`
+	// Accepted counts completed trials that passed the fidelity
+	// threshold.
+	Accepted int `json:"accepted"`
+	// MeanValue and ValueStddev summarize the fidelity value over
+	// completed trials (NaN without a scorer or completions).
 	MeanValue   float64 `json:"mean_value"`
 	ValueStddev float64 `json:"value_stddev"`
-	FailPct     float64 `json:"fail_pct"`
-	AcceptPct   float64 `json:"accept_pct"`
-	DetectPct   float64 `json:"detect_pct"`
-	FailLoPct   float64 `json:"fail_lo_pct"`
-	FailHiPct   float64 `json:"fail_hi_pct"`
-	DetectLoPct float64 `json:"detect_lo_pct"`
-	DetectHiPct float64 `json:"detect_hi_pct"`
+	// FailPct is the catastrophic-failure (crash or timeout) rate and
+	// AcceptPct the acceptable-completion rate, both over all trials.
+	FailPct   float64 `json:"fail_pct"`
+	AcceptPct float64 `json:"accept_pct"`
+	// DetectPct is the percentage of trials stopped by redundancy checks:
+	// over a detection campaign, the realized detection coverage.
+	DetectPct     float64 `json:"detect_pct"`
+	FailLowPct    float64 `json:"fail_lo_pct"`
+	FailHighPct   float64 `json:"fail_hi_pct"`
+	DetectLowPct  float64 `json:"detect_lo_pct"`
+	DetectHighPct float64 `json:"detect_hi_pct"`
 	// DetectLatencyP50/P95 are nearest-rank percentiles of the
 	// injection→trapdet distance (retired instructions) over Detected
 	// trials; 0 when no trial was detected. The latency window bounds how
@@ -137,8 +150,8 @@ type PointResult struct {
 	Degraded          int     `json:"degraded"`
 	RecoveryAttempts  int     `json:"recovery_attempts"`
 	RecoverPct        float64 `json:"recover_pct"`
-	RecoverLoPct      float64 `json:"recover_lo_pct"`
-	RecoverHiPct      float64 `json:"recover_hi_pct"`
+	RecoverLowPct     float64 `json:"recover_lo_pct"`
+	RecoverHighPct    float64 `json:"recover_hi_pct"`
 	RecoverLatencyP50 uint64  `json:"recover_latency_p50"`
 	RecoverLatencyP95 uint64  `json:"recover_latency_p95"`
 	// Availability accounting in the tolerated/detected/untolerated style
@@ -149,16 +162,17 @@ type PointResult struct {
 	// Untolerated is everything else — crashes, timeouts and unacceptable
 	// completions. Tolerated + Detected + Untolerated == Trials, and
 	// AvailabilityPct = 100 * Tolerated / Trials with a Wilson 95%
-	// interval [AvailabilityLoPct, AvailabilityHiPct].
-	Tolerated         int     `json:"tolerated"`
-	Untolerated       int     `json:"untolerated"`
-	AvailabilityPct   float64 `json:"availability_pct"`
-	AvailabilityLoPct float64 `json:"availability_lo_pct"`
-	AvailabilityHiPct float64 `json:"availability_hi_pct"`
-	EarlyStopped      bool    `json:"early_stopped"`
+	// interval [AvailabilityLowPct, AvailabilityHighPct].
+	Tolerated           int     `json:"tolerated"`
+	Untolerated         int     `json:"untolerated"`
+	AvailabilityPct     float64 `json:"availability_pct"`
+	AvailabilityLowPct  float64 `json:"availability_lo_pct"`
+	AvailabilityHighPct float64 `json:"availability_hi_pct"`
+	EarlyStopped        bool    `json:"early_stopped"`
 	// Cancelled marks a partial aggregate: the point's context was
 	// cancelled before the trial budget (or early stop) was reached. A
-	// cancelled point's numbers are not reproducible.
+	// cancelled point's numbers are not reproducible; an uncancelled
+	// re-run of the same point is.
 	Cancelled bool `json:"cancelled"`
 }
 
@@ -207,13 +221,13 @@ func (a *aggregate) result(errors int, lo, hi uint8, stopped, cancelled bool) Po
 		r.AvailabilityPct = 100 * float64(r.Tolerated) / float64(a.trials)
 	}
 	flo, fhi := a.failInterval()
-	r.FailLoPct, r.FailHiPct = 100*flo, 100*fhi
+	r.FailLowPct, r.FailHighPct = 100*flo, 100*fhi
 	dlo, dhi := wilson(a.detected, a.trials, 1.96)
-	r.DetectLoPct, r.DetectHiPct = 100*dlo, 100*dhi
+	r.DetectLowPct, r.DetectHighPct = 100*dlo, 100*dhi
 	rlo, rhi := wilson(a.recovered, a.trials, 1.96)
-	r.RecoverLoPct, r.RecoverHiPct = 100*rlo, 100*rhi
+	r.RecoverLowPct, r.RecoverHighPct = 100*rlo, 100*rhi
 	alo, ahi := wilson(r.Tolerated, a.trials, 1.96)
-	r.AvailabilityLoPct, r.AvailabilityHiPct = 100*alo, 100*ahi
+	r.AvailabilityLowPct, r.AvailabilityHighPct = 100*alo, 100*ahi
 	return r
 }
 

@@ -184,8 +184,8 @@ func TestEarlyStopConverges(t *testing.T) {
 	if r1.Trials >= 2000 || r1.Trials < 32 {
 		t.Fatalf("unexpected early-stop trial count %d", r1.Trials)
 	}
-	if r1.FailHiPct-r1.FailLoPct >= 5 {
-		t.Fatalf("stopped with wide interval [%.2f, %.2f]", r1.FailLoPct, r1.FailHiPct)
+	if r1.FailHighPct-r1.FailLowPct >= 5 {
+		t.Fatalf("stopped with wide interval [%.2f, %.2f]", r1.FailLowPct, r1.FailHighPct)
 	}
 	pt.Workers = 7
 	r2 := e.RunPoint(ctx, pt, nil)

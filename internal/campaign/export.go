@@ -108,8 +108,8 @@ func WriteCSV(w io.Writer, reports []*Report) error {
 				strconv.Itoa(p.Tolerated), strconv.Itoa(p.Untolerated),
 				f(p.MeanValue), f(p.ValueStddev), f(p.FailPct), f(p.AcceptPct), f(p.DetectPct),
 				f(p.RecoverPct), f(p.AvailabilityPct),
-				f(p.FailLoPct), f(p.FailHiPct), f(p.DetectLoPct), f(p.DetectHiPct),
-				f(p.RecoverLoPct), f(p.RecoverHiPct), f(p.AvailabilityLoPct), f(p.AvailabilityHiPct),
+				f(p.FailLowPct), f(p.FailHighPct), f(p.DetectLowPct), f(p.DetectHighPct),
+				f(p.RecoverLowPct), f(p.RecoverHighPct), f(p.AvailabilityLowPct), f(p.AvailabilityHighPct),
 				strconv.FormatUint(p.DetectLatencyP50, 10), strconv.FormatUint(p.DetectLatencyP95, 10),
 				strconv.FormatUint(p.RecoverLatencyP50, 10), strconv.FormatUint(p.RecoverLatencyP95, 10),
 				strconv.Itoa(p.RecoveryAttempts),

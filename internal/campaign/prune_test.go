@@ -120,8 +120,10 @@ func TestPruningDifferential(t *testing.T) {
 			if pruned.PrunedTrials() == 0 {
 				t.Fatal("pruning engine simulated every trial")
 			}
-			if f := pruned.StaticPruneFraction(); f < 0 || f >= 1 {
-				t.Fatalf("static prune fraction %v out of [0,1)", f)
+			// Every app's protected control+addr engine has some statically
+			// benign injection ordinals (susan ~1e-5 up to blowfish ~0.03).
+			if f := pruned.StaticPruneFraction(); f <= 0 || f >= 1 {
+				t.Fatalf("static prune fraction %v out of (0,1)", f)
 			}
 			totalPruned += pruned.PrunedTrials()
 		})

@@ -188,8 +188,8 @@ func TestAvailabilityAccounting(t *testing.T) {
 	if r.Tolerated != r.Accepted+r.Recovered {
 		t.Fatalf("tolerated %d != accepted %d + recovered %d", r.Tolerated, r.Accepted, r.Recovered)
 	}
-	if r.AvailabilityPct < r.AvailabilityLoPct || r.AvailabilityPct > r.AvailabilityHiPct {
-		t.Fatalf("availability %v outside its interval [%v, %v]", r.AvailabilityPct, r.AvailabilityLoPct, r.AvailabilityHiPct)
+	if r.AvailabilityPct < r.AvailabilityLowPct || r.AvailabilityPct > r.AvailabilityHighPct {
+		t.Fatalf("availability %v outside its interval [%v, %v]", r.AvailabilityPct, r.AvailabilityLowPct, r.AvailabilityHighPct)
 	}
 	if r.RecoverLatencyP50 == 0 || r.RecoverLatencyP95 < r.RecoverLatencyP50 {
 		t.Fatalf("implausible recovery latency percentiles: p50=%d p95=%d", r.RecoverLatencyP50, r.RecoverLatencyP95)

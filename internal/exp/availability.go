@@ -100,7 +100,7 @@ func Availability(ctx context.Context, opt Options) (*Report, error) {
 				CellNum(pct(pcts(p.Tolerated)), pcts(p.Tolerated)),
 				CellNum(pct(p.DetectPct), p.DetectPct),
 				CellNum(pct(pcts(p.Untolerated)), pcts(p.Untolerated)),
-				CellCI(pct(p.AvailabilityPct), p.AvailabilityPct, p.AvailabilityLoPct, p.AvailabilityHiPct),
+				CellCI(pct(p.AvailabilityPct), p.AvailabilityPct, p.AvailabilityLowPct, p.AvailabilityHighPct),
 				CellInt(p.Recovered),
 				CellNum(fmt.Sprintf("%d", p.RecoverLatencyP50), float64(p.RecoverLatencyP50)),
 			})

@@ -67,7 +67,7 @@ func BitSensitivity(ctx context.Context, opt Options) (*Report, error) {
 					CellStr(name),
 					CellStr(mode),
 					CellStr(fmt.Sprintf("bits %d-%d", lane[0], lane[1])),
-					CellCI(pct(p.FailPct), p.FailPct, p.FailLoPct, p.FailHiPct),
+					CellCI(pct(p.FailPct), p.FailPct, p.FailLowPct, p.FailHighPct),
 					CellNum(num(p.MeanValue), p.MeanValue),
 				})
 			}

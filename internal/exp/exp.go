@@ -104,61 +104,24 @@ func Build(app apps.App, pol core.Policy) (*Built, error) {
 	return &Built{App: app, Prog: prog, Report: rep, On: on, Off: off, Golden: on.Clean.Output}, nil
 }
 
-// Point aggregates one (error count, protection mode) measurement.
-type Point struct {
-	Errors   int
-	Trials   int
-	Crashes  int
-	Timeouts int
-	// Detected counts trials stopped by a hardened program's redundancy
-	// checks (always zero for the unhardened paper configurations).
-	Detected  int
-	Completed int
-	// MeanValue is the mean fidelity value over completed runs (NaN when
-	// every run failed).
-	MeanValue float64
-	// AcceptPct is the percentage of all trials that completed with
-	// acceptable fidelity.
-	AcceptPct float64
-	// FailPct is the percentage of catastrophic failures (crash or
-	// infinite run) over all trials, bounded by the Wilson 95% interval
-	// [FailLoPct, FailHiPct].
-	FailPct   float64
-	FailLoPct float64
-	FailHiPct float64
-}
-
 // RunPoint executes trials with n errors on campaign engine c. A
 // cancelled context yields a partial point; callers that care check
 // ctx.Err afterwards.
-func (b *Built) RunPoint(ctx context.Context, c *campaign.Engine, n int, opt Options) Point {
+func (b *Built) RunPoint(ctx context.Context, c *campaign.Engine, n int, opt Options) campaign.PointResult {
 	opt = opt.withDefaults()
-	r := c.RunPoint(ctx, campaign.Point{
+	return c.RunPoint(ctx, campaign.Point{
 		Errors:    n,
 		HiBit:     31,
 		MaxTrials: opt.Trials,
 		Seed:      opt.Seed,
 		Workers:   opt.Workers,
 	}, opt.Observer)
-	return Point{
-		Errors:    n,
-		Trials:    r.Trials,
-		Crashes:   r.Crashes,
-		Timeouts:  r.Timeouts,
-		Detected:  r.Detected,
-		Completed: r.Completed,
-		MeanValue: r.MeanValue,
-		AcceptPct: r.AcceptPct,
-		FailPct:   r.FailPct,
-		FailLoPct: r.FailLoPct,
-		FailHiPct: r.FailHiPct,
-	}
 }
 
 // Sweep runs RunPoint for each error count, stopping early when ctx is
 // cancelled.
-func (b *Built) Sweep(ctx context.Context, c *campaign.Engine, errorCounts []int, opt Options) []Point {
-	out := make([]Point, len(errorCounts))
+func (b *Built) Sweep(ctx context.Context, c *campaign.Engine, errorCounts []int, opt Options) []campaign.PointResult {
+	out := make([]campaign.PointResult, len(errorCounts))
 	for i, n := range errorCounts {
 		if ctx.Err() != nil {
 			return out[:i]

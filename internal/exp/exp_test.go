@@ -57,8 +57,8 @@ func TestRunPointAggregates(t *testing.T) {
 	if p.FailPct < 0 || p.FailPct > 100 || p.AcceptPct < 0 || p.AcceptPct > 100 {
 		t.Fatalf("percentages out of range: %+v", p)
 	}
-	if p.FailLoPct > p.FailPct || p.FailPct > p.FailHiPct {
-		t.Fatalf("Wilson interval [%.2f, %.2f] does not bracket %.2f", p.FailLoPct, p.FailHiPct, p.FailPct)
+	if p.FailLowPct > p.FailPct || p.FailPct > p.FailHighPct {
+		t.Fatalf("Wilson interval [%.2f, %.2f] does not bracket %.2f", p.FailLowPct, p.FailHighPct, p.FailPct)
 	}
 	if p.Completed > 0 && math.IsNaN(p.MeanValue) {
 		t.Fatalf("mean value NaN with completions")

@@ -2,6 +2,8 @@ package exp
 
 import (
 	"context"
+
+	"etap/internal/campaign"
 )
 
 // figure accumulates one figure report: an error-count sweep with named
@@ -56,7 +58,7 @@ func (f *figure) report() *Report {
 	return f.rep
 }
 
-func values(pts []Point, f func(Point) float64) []float64 {
+func values(pts []campaign.PointResult, f func(campaign.PointResult) float64) []float64 {
 	out := make([]float64, len(pts))
 	for i, p := range pts {
 		out[i] = f(p)
@@ -64,14 +66,14 @@ func values(pts []Point, f func(Point) float64) []float64 {
 	return out
 }
 
-func meanValues(pts []Point) []float64 {
-	return values(pts, func(p Point) float64 { return p.MeanValue })
+func meanValues(pts []campaign.PointResult) []float64 {
+	return values(pts, func(p campaign.PointResult) float64 { return p.MeanValue })
 }
-func failValues(pts []Point) []float64 {
-	return values(pts, func(p Point) float64 { return p.FailPct })
+func failValues(pts []campaign.PointResult) []float64 {
+	return values(pts, func(p campaign.PointResult) float64 { return p.FailPct })
 }
-func acceptValues(pts []Point) []float64 {
-	return values(pts, func(p Point) float64 { return p.AcceptPct })
+func acceptValues(pts []campaign.PointResult) []float64 {
+	return values(pts, func(p campaign.PointResult) float64 { return p.AcceptPct })
 }
 
 // buildFor compiles one named benchmark for a figure.

@@ -80,8 +80,8 @@ func Table2(ctx context.Context, opt Options) (*Report, error) {
 				CellStr(a.Name()),
 				CellInt(n),
 				CellNum(fmt.Sprintf("%dM", instr/1_000_000), float64(instr)),
-				CellCI(pct(on.FailPct), on.FailPct, on.FailLoPct, on.FailHiPct),
-				CellCI(pct(off.FailPct), off.FailPct, off.FailLoPct, off.FailHiPct),
+				CellCI(pct(on.FailPct), on.FailPct, on.FailLowPct, on.FailHighPct),
+				CellCI(pct(off.FailPct), off.FailPct, off.FailLowPct, off.FailHighPct),
 			})
 		}
 	}
@@ -174,7 +174,7 @@ func PolicyAblation(ctx context.Context, opt Options) (*Report, error) {
 				CellStr(pol.String()),
 				CellInt(errorsFor[name]),
 				CellNum(pct(lowRel), lowRel),
-				CellCI(pct(p.FailPct), p.FailPct, p.FailLoPct, p.FailHiPct),
+				CellCI(pct(p.FailPct), p.FailPct, p.FailLowPct, p.FailHighPct),
 			})
 		}
 	}

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"errors"
@@ -81,8 +80,8 @@ const compactThreshold = 256
 // on every transition — and the journal folds into a fresh atomically
 // renamed snapshot every compactThreshold records (and on every full
 // Save, e.g. shutdown). Load replays the journal over the snapshot and
-// tolerates a torn final line, so a crash mid-append loses at most the
-// interrupted record, never the store.
+// trims a torn final record, so a crash mid-append loses at most the
+// interrupted record, never the store or a later append.
 type FileStore struct {
 	path string
 
@@ -118,8 +117,9 @@ type journalEntry struct {
 
 // Load reads the snapshot, replays the journal over it, and seeds the
 // store's in-memory mirror. A missing file is an empty store, not an
-// error; a torn trailing journal line (crash mid-append) ends the
-// replay silently.
+// error. A torn trailing journal record (crash mid-append) is dropped
+// and trimmed from the file; an unreadable record with intact records
+// after it is an error, since skipping it would silently lose state.
 func (f *FileStore) Load() ([]PersistedJob, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -143,30 +143,43 @@ func (f *FileStore) Load() ([]PersistedJob, error) {
 		}
 	}
 
-	jf, err := os.Open(f.journalPath())
-	if err == nil {
-		sc := bufio.NewScanner(jf)
-		sc.Buffer(make([]byte, 0, 64<<10), 64<<20)
-		for sc.Scan() {
-			line := bytes.TrimSpace(sc.Bytes())
-			if len(line) == 0 {
-				continue
+	jdata, err := os.ReadFile(f.journalPath())
+	if err != nil && !errors.Is(err, os.ErrNotExist) {
+		return nil, fmt.Errorf("server: load job journal: %w", err)
+	}
+	// A record counts once its newline is on disk. Replay stops at the
+	// first unterminated or unparsable record; that is a torn append only
+	// if nothing follows it, and the tail is then cut off so the next
+	// append starts on a fresh line instead of extending the torn one.
+	good := 0 // journal offset just past the last intact record
+	for good < len(jdata) {
+		n := bytes.IndexByte(jdata[good:], '\n')
+		if n < 0 {
+			break
+		}
+		line := bytes.TrimSpace(jdata[good : good+n])
+		var e journalEntry
+		if len(line) > 0 && json.Unmarshal(line, &e) != nil {
+			if len(bytes.TrimSpace(jdata[good+n+1:])) > 0 {
+				return nil, fmt.Errorf("server: job journal %s is corrupt at byte %d", f.journalPath(), good)
 			}
-			var e journalEntry
-			if json.Unmarshal(line, &e) != nil {
-				break // torn final record from a crash mid-append
-			}
-			switch {
-			case e.Put != nil:
-				f.upsertLocked(*e.Put)
-			case e.Delete != "":
-				f.deleteLocked(e.Delete)
-			}
+			break
+		}
+		switch {
+		case e.Put != nil:
+			f.upsertLocked(*e.Put)
+		case e.Delete != "":
+			f.deleteLocked(e.Delete)
+		}
+		if len(line) > 0 {
 			f.pending++
 		}
-		jf.Close()
-	} else if !errors.Is(err, os.ErrNotExist) {
-		return nil, fmt.Errorf("server: load job journal: %w", err)
+		good += n + 1
+	}
+	if good < len(jdata) {
+		if err := os.Truncate(f.journalPath(), int64(good)); err != nil {
+			return nil, fmt.Errorf("server: trim torn job journal: %w", err)
+		}
 	}
 	return append([]PersistedJob(nil), f.jobs...), nil
 }

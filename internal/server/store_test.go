@@ -117,6 +117,69 @@ func TestFileStoreTornJournalLine(t *testing.T) {
 	}
 }
 
+// TestFileStoreAppendAfterTornLine: records appended after a reload
+// over a torn final line survive the next reload. The torn tail is
+// trimmed at load, so a later append cannot extend the unterminated
+// line and take every record after it down with it.
+func TestFileStoreAppendAfterTornLine(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "jobs.json")
+	if err := NewFileStore(path).SaveJob(storedJob("a", StateRunning, 0)); err != nil {
+		t.Fatal(err)
+	}
+	appendJournal(t, path, `{"put":{"id":"c","sp`)
+
+	f := NewFileStore(path)
+	if _, err := f.Load(); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.SaveJob(storedJob("a", StateDone, 7)); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.SaveJob(storedJob("d", StateDone, 2)); err != nil {
+		t.Fatal(err)
+	}
+
+	jobs, err := NewFileStore(path).Load()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(jobs) != 2 || jobs[0].ID != "a" || jobs[0].State != StateDone || jobs[0].TrialsDone != 7 ||
+		jobs[1].ID != "d" || jobs[1].State != StateDone {
+		t.Fatalf("reloaded table: %+v", jobs)
+	}
+}
+
+// TestFileStoreMidJournalGarbage: an unreadable record with intact
+// records after it is not a torn append; Load reports the corruption
+// instead of silently dropping the records that follow.
+func TestFileStoreMidJournalGarbage(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "jobs.json")
+	f := NewFileStore(path)
+	if err := f.SaveJob(storedJob("a", StateDone, 3)); err != nil {
+		t.Fatal(err)
+	}
+	appendJournal(t, path, "{\"put\":{\"id\":\"c\",\"sp\n")
+	if err := f.SaveJob(storedJob("b", StateDone, 1)); err != nil {
+		t.Fatal(err)
+	}
+	if jobs, err := NewFileStore(path).Load(); err == nil {
+		t.Fatalf("mid-journal garbage loaded without error: %+v", jobs)
+	}
+}
+
+// appendJournal writes raw bytes to the end of path's journal.
+func appendJournal(t *testing.T, path, raw string) {
+	t.Helper()
+	jf, err := os.OpenFile(path+".journal", os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer jf.Close()
+	if _, err := jf.WriteString(raw); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestFileStoreFullSaveSupersedesJournal: a full Save (shutdown path)
 // compacts to a snapshot and drops the journal.
 func TestFileStoreFullSaveSupersedesJournal(t *testing.T) {

@@ -27,9 +27,9 @@ var (
 )
 
 func init() {
-	// ns/instruction is the simulator's headline cost metric (also
-	// emitted per revision by cmd/etbench); exposing the running ratio
-	// saves every dashboard the same division.
+	// ns/instruction is the simulator's headline cost metric (perfbench
+	// reports it per layer as sim.*_ns_per_instr); exposing the running
+	// ratio saves every dashboard the same division.
 	obs.Default().GaugeFunc("etap_sim_ns_per_instruction",
 		"Average wall-clock nanoseconds per retired instruction since process start.",
 		func() float64 {

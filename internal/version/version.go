@@ -2,9 +2,8 @@
 // revision and Go toolchain — from the information the linker stamps
 // into every binary via runtime/debug.ReadBuildInfo. Every cmd/ main
 // exposes it behind a -version flag, the service reports it from
-// /api/v1/healthz, and cmd/etbench names its BENCH_<rev>.json artifact
-// after the short revision, so a perf number is always attributable to
-// the exact commit that produced it.
+// /api/v1/healthz, so a running service or a result is always
+// attributable to the exact commit that produced it.
 package version
 
 import (
