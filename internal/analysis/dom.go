@@ -52,13 +52,6 @@ func Dominators(cfg *core.FuncCFG) *DomTree {
 		stack = stack[:len(stack)-1]
 	}
 
-	preds := make([][]int, n)
-	for b, blk := range cfg.Blocks {
-		for _, s := range blk.Succs {
-			preds[s] = append(preds[s], b)
-		}
-	}
-
 	d.Idom[0] = 0
 	for changed := true; changed; {
 		changed = false
@@ -69,7 +62,7 @@ func Dominators(cfg *core.FuncCFG) *DomTree {
 				continue
 			}
 			newIdom := -1
-			for _, p := range preds[b] {
+			for _, p := range cfg.Blocks[b].Preds {
 				if d.Idom[p] < 0 {
 					continue // unprocessed or unreachable
 				}

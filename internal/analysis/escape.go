@@ -27,7 +27,7 @@ type EscapeSite struct {
 // (tagged definition, store) pair where the definition's value is the
 // stored operand. Results are ordered by definition then store index.
 func Escapes(rep *core.Report) ([]EscapeSite, error) {
-	dus, err := core.ReachingDefs(rep.Prog)
+	dus, err := ReachingDefs(rep.Prog)
 	if err != nil {
 		return nil, err
 	}

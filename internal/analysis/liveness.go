@@ -37,11 +37,6 @@ type LiveInfo struct {
 	CFGs []*core.FuncCFG
 	// LiveOut[i] is the live set immediately after instruction i retires.
 	LiveOut []core.RegMask
-	// BlockIn[f][b] is the live set at block b's entry in function f.
-	BlockIn [][]core.RegMask
-	// RetLive[f] is the live set at function f's jr exits: the union of
-	// what every static caller still needs after the call returns.
-	RetLive []core.RegMask
 	// Precise reports whether the dataflow result is usable for
 	// dead-destination reasoning. When false (Imprecision says why),
 	// every LiveOut is AllRegs.
@@ -49,166 +44,61 @@ type LiveInfo struct {
 	Imprecision string
 }
 
-type liveState struct {
-	prog        *isa.Program
-	cfgs        []*core.FuncCFG
-	entryToFunc map[int]int
-	blockIn     [][]core.RegMask
-	retLive     []core.RegMask
-	liveOut     []core.RegMask
-	changed     bool
-}
-
 // Liveness computes interprocedural register liveness for a validated
-// program.
+// program, as a client of core's Backward solver.
 func Liveness(p *isa.Program) (*LiveInfo, error) {
 	cfgs, err := core.BuildCFG(p)
 	if err != nil {
 		return nil, err
 	}
-	li := &LiveInfo{
-		Prog:    p,
-		CFGs:    cfgs,
-		LiveOut: make([]core.RegMask, len(p.Text)),
-		BlockIn: make([][]core.RegMask, len(p.Funcs)),
-		RetLive: make([]core.RegMask, len(p.Funcs)),
-		Precise: true,
-	}
-	for fi, cfg := range cfgs {
-		li.BlockIn[fi] = make([]core.RegMask, len(cfg.Blocks))
-	}
+	li := &LiveInfo{Prog: p, CFGs: cfgs, LiveOut: make([]core.RegMask, len(p.Text)), Precise: true}
 	for idx, in := range p.Text {
 		if in.Op == isa.JALR {
 			li.Precise = false
 			li.Imprecision = fmt.Sprintf("instr %d (%s): indirect call makes the call graph unknowable", idx, isa.Disasm(in))
-			break
-		}
-	}
-	if !li.Precise {
-		for i := range li.LiveOut {
-			li.LiveOut[i] = AllRegs
-		}
-		for fi := range li.BlockIn {
-			for bi := range li.BlockIn[fi] {
-				li.BlockIn[fi][bi] = AllRegs
+			for i := range li.LiveOut {
+				li.LiveOut[i] = AllRegs
 			}
-			li.RetLive[fi] = AllRegs
+			return li, nil
 		}
-		return li, nil
 	}
 
-	entryToFunc := make(map[int]int, len(p.Funcs))
-	totalBlocks := 0
-	for fi, f := range p.Funcs {
-		entryToFunc[f.Start] = fi
-		totalBlocks += len(cfgs[fi].Blocks)
-	}
-	s := &liveState{
-		prog:        p,
-		cfgs:        cfgs,
-		entryToFunc: entryToFunc,
-		blockIn:     li.BlockIn,
-		retLive:     li.RetLive,
-		liveOut:     li.LiveOut,
-	}
-
-	// Round-robin backward sweeps to fixpoint. All sets only grow, so
-	// the round count is bounded by the total number of set bits that
-	// can ever be added (31 registers per tracked set) plus the final
-	// no-change sweep.
-	bound := 31*(totalBlocks+len(p.Funcs)) + 2
-	for round := 0; ; round++ {
-		if round > bound {
-			return nil, fmt.Errorf("analysis: liveness fixpoint failed to converge")
-		}
-		s.changed = false
-		for fi := len(cfgs) - 1; fi >= 0; fi-- {
-			for bi := len(cfgs[fi].Blocks) - 1; bi >= 0; bi-- {
-				in := s.walk(fi, bi, false)
-				if in != s.blockIn[fi][bi] {
-					s.blockIn[fi][bi] = in
-					s.changed = true
-				}
-			}
-		}
-		if !s.changed {
-			break
-		}
-	}
-	// One recording pass over the converged state fills per-instruction
-	// LiveOut; at fixpoint it cannot change anything.
-	for fi := range cfgs {
-		for bi := range cfgs[fi].Blocks {
-			s.walk(fi, bi, true)
-		}
-	}
-	return li, nil
-}
-
-// walk applies the backward transfer function over block bi of function
-// fi starting from the block's live-out set and returns the block's
-// live-in. With record set it also stores each instruction's live-out.
-// Continuation liveness observed at calls grows the callee's return set
-// (flagging s.changed), which is what makes the fixpoint
-// interprocedural.
-func (s *liveState) walk(fi, bi int, record bool) core.RegMask {
-	cfg := s.cfgs[fi]
-	b := cfg.Blocks[bi]
-	p := s.prog
 	var usesBuf [3]isa.Reg
-
-	// succ is the liveness at the block's in-CFG continuation points; it
-	// is also the post-return liveness a call made by this block resumes
-	// into.
-	succ := core.RegMask(0)
-	for _, sb := range b.Succs {
-		succ |= s.blockIn[fi][sb]
-	}
-	if b.Return {
-		if p.Text[b.End-1].Op == isa.JR {
-			succ |= s.retLive[fi]
-		} else {
+	sol := core.Backward{
+		Instr: func(idx int, live core.RegMask) core.RegMask {
+			in := p.Text[idx]
+			if d, ok := in.Dest(); ok {
+				live &^= regBit(d)
+			}
+			for _, u := range in.Uses(usesBuf[:0]) {
+				live |= regBit(u)
+			}
+			return live
+		},
+		// The point right after the jal retires is the callee's entry:
+		// what the callee (transitively) reads is what is live, including
+		// the just-written $ra.
+		Call: func(_ int, _, entry core.RegMask) core.RegMask { return entry &^ regBit(isa.RegRA) },
+		Return: func(b core.Block, ret core.RegMask) core.RegMask {
+			if p.Text[b.End-1].Op == isa.JR {
+				return ret
+			}
 			// The block leaves the CFG without a return: a terminal
 			// syscall that may be exit, or text falling off the function
 			// end. Liveness cannot see past that point.
-			succ |= AllRegs
-		}
-	}
+			return AllRegs
+		},
+	}.Solve(p, cfgs)
 
-	cur := succ
-	for idx := b.End - 1; idx >= b.Start; idx-- {
-		in := p.Text[idx]
-		if in.Op == isa.JAL {
-			// The CFG builder guarantees a call is its block's last
-			// instruction and targets a function entry.
-			callee := s.entryToFunc[int(in.Imm)]
-			if nr := s.retLive[callee] | succ; nr != s.retLive[callee] {
-				s.retLive[callee] = nr
-				s.changed = true
-			}
-			// The point right after the jal retires is the callee's
-			// entry: what the callee (transitively) reads is what is
-			// live, including the just-written $ra.
-			if len(s.cfgs[callee].Blocks) > 0 {
-				cur = s.blockIn[callee][0]
-			} else {
-				cur = AllRegs
-			}
-			if record {
-				s.liveOut[idx] = cur
-			}
-			cur &^= regBit(isa.RegRA)
-			continue
-		}
-		if record {
-			s.liveOut[idx] = cur
-		}
-		if d, ok := in.Dest(); ok {
-			cur &^= regBit(d)
-		}
-		for _, u := range in.Uses(usesBuf[:0]) {
-			cur |= regBit(u)
+	for fi, cfg := range cfgs {
+		for bi := range cfg.Blocks {
+			sol.Walk(fi, bi, func(idx int, after, _ core.RegMask) {
+				if p.Text[idx].Op == isa.JAL {
+					after = sol.CalleeEntry(idx)
+				}
+				li.LiveOut[idx] = after
+			})
 		}
 	}
-	return cur
+	return li, nil
 }

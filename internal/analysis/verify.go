@@ -105,7 +105,6 @@ func (v *Verification) verifySignatures(res *harden.Result, origCFGs []*core.Fun
 			v.addf("%s: %d signature prologues for %d basic blocks", cfg.Func.Name, len(events), len(cfg.Blocks))
 			continue
 		}
-		preds, callCont := blockPreds(res.Orig, cfg)
 		hardenedStart[fi] = make(map[int]int, len(cfg.Blocks))
 		for bi, ev := range events {
 			if bi == 0 {
@@ -129,19 +128,20 @@ func (v *Verification) verifySignatures(res *harden.Result, origCFGs []*core.Fun
 			}
 			seenSig[ev.sig] = fmt.Sprintf("%s block %d", cfg.Func.Name, bi)
 
-			wantResync := bi == 0 || callCont[bi] || len(preds[bi]) == 0
+			preds := cfg.Blocks[bi].Preds
+			wantResync := bi == 0 || cfg.Blocks[bi].CallCont || len(preds) == 0
 			if wantResync && ev.check {
 				v.addf("%s block %d: has a predecessor check but must resync (entry/call continuation)", cfg.Func.Name, bi)
 				continue
 			}
 			if !wantResync && !ev.check {
-				v.addf("%s block %d: resyncs without checking its %d predecessors", cfg.Func.Name, bi, len(preds[bi]))
+				v.addf("%s block %d: resyncs without checking its %d predecessors", cfg.Func.Name, bi, len(preds))
 				continue
 			}
 			if ev.check {
 				v.SigChecked++
-				wantPreds := make(map[int32]bool, len(preds[bi]))
-				for _, p := range preds[bi] {
+				wantPreds := make(map[int32]bool, len(preds))
+				for _, p := range preds {
 					wantPreds[sigOf(fi, p)] = true
 				}
 				got := make(map[int32]bool, len(ev.preds))
@@ -446,32 +446,4 @@ func (v *Verification) verifyDup(res *harden.Result) error {
 		v.addf("verified %d duplicated sites but the rewrite reports %d", v.DupSites, res.DupSites)
 	}
 	return nil
-}
-
-// blockPreds mirrors the rewriter's predecessor computation: the
-// deduplicated intra-procedural predecessor list per block, and whether
-// the block is a call continuation (some predecessor ends in a call).
-func blockPreds(p *isa.Program, cfg *core.FuncCFG) (preds [][]int, callCont []bool) {
-	preds = make([][]int, len(cfg.Blocks))
-	callCont = make([]bool, len(cfg.Blocks))
-	for pb, blk := range cfg.Blocks {
-		last := p.Text[blk.End-1]
-		isCall := last.Op == isa.JAL || last.Op == isa.JALR
-		for _, s := range blk.Succs {
-			seen := false
-			for _, have := range preds[s] {
-				if have == pb {
-					seen = true
-					break
-				}
-			}
-			if !seen {
-				preds[s] = append(preds[s], pb)
-			}
-			if isCall {
-				callCont[s] = true
-			}
-		}
-	}
-	return preds, callCont
 }

@@ -86,9 +86,9 @@ func maskOf(rs ...isa.Reg) RegMask {
 	return m &^ 1 // $zero is not a variable
 }
 
-// callerSaved is the register set a call clobbers under the toolchain's
+// CallerSaved is the register set a call clobbers under the toolchain's
 // convention: at, v0, v1, a0–a3, t0–t9, ra.
-const callerSaved RegMask = 1<<isa.RegAT | 1<<isa.RegV0 | 1<<isa.RegV1 |
+const CallerSaved RegMask = 1<<isa.RegAT | 1<<isa.RegV0 | 1<<isa.RegV1 |
 	0xF<<isa.RegA0 | 0xFF<<isa.RegT0 | 1<<isa.RegT8 | 1<<isa.RegT9 | 1<<isa.RegRA
 
 // argRegs is the register-argument set.
@@ -138,44 +138,25 @@ type Report struct {
 }
 
 // Analyze runs the control-data analysis over a validated program.
+//
+// CVar is a client of the Backward solver: step is its instruction
+// transfer function, a call kills the caller-saved set and adds the
+// callee's control-live arguments, and a function's exits see $v0 as
+// control-live once any caller's CVar holds $v0 after a call of it. At
+// the fixpoint, a function's entry set restricted to a0–a3 is its
+// ArgsControl and $v0 in its return set is its RetControl.
 func Analyze(p *isa.Program, pol Policy) (*Report, error) {
 	cfgs, err := BuildCFG(p)
 	if err != nil {
 		return nil, err
 	}
-	entryToFunc := make(map[int]int, len(p.Funcs))
-	for fi, f := range p.Funcs {
-		entryToFunc[f.Start] = fi
-	}
-
-	a := &analyzer{
-		prog:        p,
-		pol:         pol,
-		cfgs:        cfgs,
-		entryToFunc: entryToFunc,
-		sums:        make([]Summary, len(p.Funcs)),
-		blockIn:     make([][]RegMask, len(p.Funcs)),
-	}
-	for fi, cfg := range cfgs {
-		a.blockIn[fi] = make([]RegMask, len(cfg.Blocks))
-	}
-
-	// Outer fixpoint over function summaries; inner fixpoint per function.
-	// Summaries only grow, so this terminates.
-	for round := 0; ; round++ {
-		if round > 4*len(p.Funcs)+8 {
-			return nil, fmt.Errorf("core: summary fixpoint failed to converge")
-		}
-		changed := false
-		for fi := range cfgs {
-			if a.analyzeFunc(fi) {
-				changed = true
-			}
-		}
-		if !changed {
-			break
-		}
-	}
+	sol := Backward{
+		Instr: func(idx int, cv RegMask) RegMask { return step(p.Text[idx], cv, pol) },
+		Call: func(_ int, after, entry RegMask) RegMask {
+			return after&^CallerSaved | entry&argRegs
+		},
+		Return: func(_ Block, ret RegMask) RegMask { return ret & maskOf(isa.RegV0) },
+	}.Solve(p, cfgs)
 
 	r := &Report{
 		Prog:         p,
@@ -184,126 +165,52 @@ func Analyze(p *isa.Program, pol Policy) (*Report, error) {
 		ControlSlice: make([]bool, len(p.Text)),
 		CVarOut:      make([]RegMask, len(p.Text)),
 		CVarIn:       make([]RegMask, len(p.Text)),
-		Summaries:    a.sums,
+		Summaries:    make([]Summary, len(p.Funcs)),
 		CFGs:         cfgs,
 	}
-	for fi := range cfgs {
-		a.classify(fi, r)
+	for fi, cfg := range cfgs {
+		r.Summaries[fi] = Summary{
+			ArgsControl: sol.In[fi][0] & argRegs,
+			RetControl:  sol.Ret[fi].Has(isa.RegV0),
+		}
+		tolerant := cfg.Func.Tolerant
+		for bi := range cfg.Blocks {
+			sol.Walk(fi, bi, func(idx int, after, before RegMask) {
+				r.CVarOut[idx], r.CVarIn[idx] = after, before
+				in := p.Text[idx]
+				switch in.Class() {
+				case isa.ClassControl, isa.ClassSys:
+					r.ControlSlice[idx] = true
+				case isa.ClassArith:
+					if in.Rd != isa.RegZero && after.Has(in.Rd) {
+						r.ControlSlice[idx] = true
+					} else if in.IsInjectable() && tolerant {
+						r.Tagged[idx] = true
+					}
+				case isa.ClassLoad:
+					if in.Rd != isa.RegZero && after.Has(in.Rd) {
+						r.ControlSlice[idx] = true
+					}
+				}
+			})
+		}
 	}
 	return r, nil
 }
 
-type analyzer struct {
-	prog        *isa.Program
-	pol         Policy
-	cfgs        []*FuncCFG
-	entryToFunc map[int]int
-	sums        []Summary
-	// blockIn[f][b] is the CVar set at block b's entry (the backward
-	// analysis result), kept across rounds so work is incremental.
-	blockIn [][]RegMask
-}
-
-// retMask is the control-live set at a function's exits.
-func (a *analyzer) retMask(fi int) RegMask {
-	if a.sums[fi].RetControl {
-		return maskOf(isa.RegV0)
-	}
-	return 0
-}
-
-// analyzeFunc runs the intra-procedural backward fixpoint for function fi
-// and reports whether any summary (its own ArgsControl or a callee's
-// RetControl) changed.
-func (a *analyzer) analyzeFunc(fi int) bool {
-	cfg := a.cfgs[fi]
-	in := a.blockIn[fi]
-	changed := false
-
-	// Worklist seeded with all blocks, processed in reverse order for
-	// faster convergence on reducible graphs.
-	dirty := make([]bool, len(cfg.Blocks))
-	work := make([]int, 0, len(cfg.Blocks))
-	for b := len(cfg.Blocks) - 1; b >= 0; b-- {
-		work = append(work, b)
-		dirty[b] = true
-	}
-
-	for len(work) > 0 {
-		b := work[len(work)-1]
-		work = work[:len(work)-1]
-		dirty[b] = false
-
-		blk := cfg.Blocks[b]
-		out := RegMask(0)
-		if blk.Return {
-			out = a.retMask(fi)
-		}
-		for _, s := range blk.Succs {
-			out |= in[s]
-		}
-		newIn := a.transferBlock(blk, out, &changed)
-		if newIn == in[b] {
-			continue
-		}
-		in[b] = newIn
-		// Predecessors are any blocks listing b as successor; rather than
-		// maintain reverse edges, mark all blocks dirty whose successor
-		// sets include b.
-		for pb := range cfg.Blocks {
-			if dirty[pb] {
-				continue
-			}
-			for _, s := range cfg.Blocks[pb].Succs {
-				if s == b {
-					dirty[pb] = true
-					work = append(work, pb)
-					break
-				}
-			}
-		}
-	}
-
-	entryIn := in[0]
-	newArgs := a.sums[fi].ArgsControl | (entryIn & argRegs)
-	if newArgs != a.sums[fi].ArgsControl {
-		a.sums[fi].ArgsControl = newArgs
-		changed = true
-	}
-	return changed
-}
-
-// transferBlock walks blk backward from out and returns the entry set.
-// Callee RetControl discoveries set *changed.
-func (a *analyzer) transferBlock(blk Block, out RegMask, changed *bool) RegMask {
-	cv := out
-	for idx := blk.End - 1; idx >= blk.Start; idx-- {
-		cv = a.step(a.prog.Text[idx], cv, changed)
-	}
-	return cv
-}
-
-// step applies the backward transfer function of one instruction. It is the
-// direct encoding of the paper's rules plus the policy extensions.
-func (a *analyzer) step(in isa.Instr, cv RegMask, changed *bool) RegMask {
+// step applies the backward transfer function of one non-call
+// instruction. It is the direct encoding of the paper's rules plus the
+// policy extensions.
+func step(in isa.Instr, cv RegMask, pol Policy) RegMask {
 	var usesBuf [3]isa.Reg
 	switch in.Class() {
 	case isa.ClassControl:
-		switch in.Op {
-		case isa.JAL:
-			callee := a.entryToFunc[int(in.Imm)]
-			if cv.Has(isa.RegV0) && !a.sums[callee].RetControl {
-				a.sums[callee].RetControl = true
-				*changed = true
-			}
-			cv &^= callerSaved
-			cv |= a.sums[callee].ArgsControl
-		case isa.JALR:
+		if in.Op == isa.JALR {
 			// Unknown callee: assume all register arguments are control and
 			// the target register certainly is.
-			cv &^= callerSaved
+			cv &^= CallerSaved
 			cv |= argRegs | maskOf(in.Rs)
-		default:
+		} else {
 			cv |= maskOf(in.Uses(usesBuf[:0])...)
 		}
 	case isa.ClassSys:
@@ -325,82 +232,18 @@ func (a *analyzer) step(in isa.Instr, cv RegMask, changed *bool) RegMask {
 			cv &^= maskOf(in.Rd)
 			cv |= maskOf(in.Rs)
 		}
-		if a.pol >= PolicyControlAddr {
+		if pol >= PolicyControlAddr {
 			cv |= maskOf(in.Rs)
 		}
 	case isa.ClassStore:
-		if a.pol >= PolicyControlAddr {
+		if pol >= PolicyControlAddr {
 			cv |= maskOf(in.Rs)
 		}
-		if a.pol >= PolicyConservative {
+		if pol >= PolicyConservative {
 			cv |= maskOf(in.Rt)
 		}
 	}
 	return cv &^ 1
-}
-
-// classify recomputes per-instruction sets from the converged block states
-// and fills the report.
-func (a *analyzer) classify(fi int, r *Report) {
-	cfg := a.cfgs[fi]
-	in := a.blockIn[fi]
-	tolerant := cfg.Func.Tolerant
-	var discard bool
-	for b, blk := range cfg.Blocks {
-		_ = b
-		out := RegMask(0)
-		if blk.Return {
-			out = a.retMask(fi)
-		}
-		for _, s := range blk.Succs {
-			out |= in[s]
-		}
-		cv := out
-		for idx := blk.End - 1; idx >= blk.Start; idx-- {
-			instr := a.prog.Text[idx]
-			r.CVarOut[idx] = cv
-			cv = a.step(instr, cv, &discard)
-			r.CVarIn[idx] = cv
-
-			switch instr.Class() {
-			case isa.ClassControl, isa.ClassSys:
-				r.ControlSlice[idx] = true
-			case isa.ClassArith:
-				if instr.Rd != isa.RegZero && r.CVarOut[idx].Has(instr.Rd) {
-					r.ControlSlice[idx] = true
-				} else if instr.IsInjectable() && tolerant {
-					r.Tagged[idx] = true
-				}
-			case isa.ClassLoad:
-				if instr.Rd != isa.RegZero && r.CVarOut[idx].Has(instr.Rd) {
-					r.ControlSlice[idx] = true
-				}
-			}
-		}
-	}
-}
-
-// TraceSlice runs a single backward pass over a straight-line instruction
-// sequence, starting from the given exit set, and returns the CVar set
-// after processing each instruction (indexed like instrs). It reproduces
-// the paper's worked example verbatim and is exposed for tests and
-// documentation; the real analysis iterates the same transfer function to
-// fixpoint over the CFG.
-func TraceSlice(instrs []isa.Instr, exit RegMask, pol Policy) []RegMask {
-	a := &analyzer{pol: pol}
-	res := make([]RegMask, len(instrs))
-	cv := exit
-	var discard bool
-	for i := len(instrs) - 1; i >= 0; i-- {
-		if instrs[i].Op == isa.JAL || instrs[i].Op == isa.JALR {
-			// TraceSlice has no call-graph context.
-			cv &^= callerSaved
-		} else {
-			cv = a.step(instrs[i], cv, &discard)
-		}
-		res[i] = cv
-	}
-	return res
 }
 
 // ProtectedSites returns the mask of instructions a redundancy transform

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"etap/internal/asm"
@@ -23,6 +25,26 @@ func analyze(t *testing.T, src string, pol Policy) *Report {
 		t.Fatalf("analyze: %v", err)
 	}
 	return r
+}
+
+// traceSlice runs a single backward pass over a straight-line instruction
+// sequence, starting from the given exit set, and returns the CVar set
+// after processing each instruction (indexed like instrs). It reproduces
+// the paper's worked example verbatim; the real analysis iterates the
+// same transfer function to fixpoint over the CFG.
+func traceSlice(instrs []isa.Instr, exit RegMask, pol Policy) []RegMask {
+	res := make([]RegMask, len(instrs))
+	cv := exit
+	for i := len(instrs) - 1; i >= 0; i-- {
+		if instrs[i].Op == isa.JAL || instrs[i].Op == isa.JALR {
+			// traceSlice has no call-graph context.
+			cv &^= CallerSaved
+		} else {
+			cv = step(instrs[i], cv, pol)
+		}
+		res[i] = cv
+	}
+	return res
 }
 
 // TestPaperWorkedExample reproduces the Section 3 example instruction by
@@ -49,7 +71,7 @@ func TestPaperWorkedExample(t *testing.T) {
 		{Op: isa.ADDI, Rd: 3, Rs: 3, Imm: 1}, // I7
 		{Op: isa.BNE, Rs: 3, Rt: 10, Imm: 0}, // I8
 	}
-	got := TraceSlice(text, 0, PolicyControl)
+	got := traceSlice(text, 0, PolicyControl)
 
 	want := []RegMask{
 		0,             // after I0 (set was empty before I0 in backward order)
@@ -525,5 +547,54 @@ out:
 		if el[i] != want {
 			t.Errorf("instr %d (%s): eligible=%v, want %v", i, isa.Disasm(in), el[i], want)
 		}
+	}
+}
+
+// summaryChainSrc builds a valid program of n chain functions f0..f{n-1}
+// plus __start whose summaries need about five waves of n steps each to
+// reach their fixpoint. Each f_i (i < n-1) first calls f_{i+1} without
+// touching a0–a3, so control-live arguments climb from the top of the
+// chain to f0 one function at a time. The top function branches on $a0
+// and calls f0 with a0←a1, a1←a2, a2←a3, so each argument wave seeds the
+// next only once it reaches f0. f_{n-2} passes the $v0 of its call to the
+// top function as f0's $a3, and every f_i (i > 0) then zeroes a0–a3,
+// calls f_{i-1} and returns that call's $v0, so RetControl descends the
+// chain one function at a time once the last argument wave is done.
+func summaryChainSrc(n int) string {
+	var b strings.Builder
+	b.WriteString(".text\n")
+	for i := 0; i < n; i++ {
+		fmt.Fprintf(&b, ".func f%d tolerant\n\taddi $sp, $sp, -4\n\tsw $ra, 0($sp)\n", i)
+		switch {
+		case i == n-1:
+			b.WriteString("\tbeqz $a0, out\n\tmove $a0, $a1\n\tmove $a1, $a2\n\tmove $a2, $a3\n\tjal f0\nout:\n")
+		case i == n-2:
+			fmt.Fprintf(&b, "\tjal f%d\n\tmove $a3, $v0\n\tjal f0\n", i+1)
+		default:
+			fmt.Fprintf(&b, "\tjal f%d\n", i+1)
+		}
+		if i > 0 {
+			fmt.Fprintf(&b, "\tli $a0, 0\n\tli $a1, 0\n\tli $a2, 0\n\tli $a3, 0\n\tjal f%d\n", i-1)
+		}
+		b.WriteString("\tlw $ra, 0($sp)\n\taddi $sp, $sp, 4\n\tjr $ra\n.endfunc\n")
+	}
+	b.WriteString(".func __start\n\tjal f0\n\tli $v0, 1\n\tsyscall\n.endfunc\n")
+	return b.String()
+}
+
+// TestAnalyzeSummaryChain: the summary fixpoint converges however many
+// rounds of summary growth a valid program needs. Summaries only grow,
+// so no round bound below the lattice height may cut the analysis off.
+func TestAnalyzeSummaryChain(t *testing.T) {
+	for _, n := range []int{16, 20, 24, 30} {
+		t.Run(fmt.Sprintf("funcs=%d", n), func(t *testing.T) {
+			r := analyze(t, summaryChainSrc(n), PolicyControl)
+			for i := 0; i < n; i++ {
+				s := r.Summaries[i]
+				if s.ArgsControl != argRegs || !s.RetControl {
+					t.Errorf("f%d summary = {%v %t}, want {%v true}", i, s.ArgsControl, s.RetControl, argRegs)
+				}
+			}
+		})
 	}
 }

@@ -36,6 +36,13 @@ type Block struct {
 	Start, End int
 	// Succs are block IDs within the same function.
 	Succs []int
+	// Preds are the blocks listing this one among their Succs,
+	// deduplicated and in ascending block order.
+	Preds []int
+	// CallCont marks a call continuation: some predecessor ends in a call
+	// (jal or jalr), so control reaches the block through a callee's
+	// return.
+	CallCont bool
 	// Return marks a function exit: a block ending in jr, or one that
 	// falls off the end of the function.
 	Return bool
@@ -156,6 +163,20 @@ func buildFuncCFG(p *isa.Program, f isa.FuncInfo, fi int, entryToFunc map[int]in
 				// so hand-written test programs that end in a bare exit
 				// syscall analyze cleanly.
 				b.Return = true
+			}
+		}
+	}
+	for pb, blk := range cfg.Blocks {
+		last := p.Text[blk.End-1]
+		for _, s := range blk.Succs {
+			sb := &cfg.Blocks[s]
+			// Blocks are visited in ascending order, so a duplicate edge
+			// can only repeat the last predecessor added.
+			if n := len(sb.Preds); n == 0 || sb.Preds[n-1] != pb {
+				sb.Preds = append(sb.Preds, pb)
+			}
+			if last.Op == isa.JAL || last.Op == isa.JALR {
+				sb.CallCont = true
 			}
 		}
 	}

@@ -1,12 +1,112 @@
-package core
+package core_test
 
 import (
+	"fmt"
 	"testing"
 
+	"etap/internal/analysis"
 	"etap/internal/apps/all"
+	"etap/internal/asm"
+	"etap/internal/core"
 	"etap/internal/isa"
 	"etap/internal/minic"
 )
+
+// These tests check the CVar analysis against an independent oracle:
+// the def-use chains of analysis.ReachingDefs, computed by forward
+// bitvector dataflow instead of core's backward set walk. They live in an
+// external test package because internal/analysis imports internal/core.
+
+func assemble(t *testing.T, src string) *isa.Program {
+	t.Helper()
+	p, err := asm.Assemble(src)
+	if err != nil {
+		t.Fatalf("assemble: %v", err)
+	}
+	return p
+}
+
+// crossValidate checks a Report against independently computed def-use
+// chains: no tagged definition may be directly consumed by a
+// control-consuming site under the report's policy. Because the CVar
+// transfer function marks every intermediate definition on a path to
+// control as control-influencing, this one-step property over all
+// instructions is equivalent to full-slice disjointness. It returns a
+// description of the first violation, or nil.
+func crossValidate(p *isa.Program, r *core.Report) error {
+	dus, err := analysis.ReachingDefs(p)
+	if err != nil {
+		return err
+	}
+	entryToFunc := make(map[int]int, len(p.Funcs))
+	for fi, f := range p.Funcs {
+		entryToFunc[f.Start] = fi
+	}
+	for _, du := range dus {
+		for id, useSites := range du.DefUses {
+			def := du.Defs[id]
+			if !r.Tagged[def.Instr] {
+				continue
+			}
+			for _, u := range useSites {
+				if why := controlConsumer(p, r, entryToFunc, u, def.Reg); why != "" {
+					return fmt.Errorf("tagged instruction %d (%s) reaches %s at instruction %d (%s)",
+						def.Instr, isa.Disasm(p.Text[def.Instr]), why, u, isa.Disasm(p.Text[u]))
+				}
+			}
+		}
+	}
+	return nil
+}
+
+// controlConsumer reports why instruction u consuming register reg is a
+// control-consuming site under the report's policy ("" if it is not).
+func controlConsumer(p *isa.Program, r *core.Report, entryToFunc map[int]int, u int, reg isa.Reg) string {
+	in := p.Text[u]
+	switch in.Class() {
+	case isa.ClassControl:
+		if in.Op == isa.JAL {
+			callee, ok := entryToFunc[int(in.Imm)]
+			if ok && r.Summaries[callee].ArgsControl.Has(reg) {
+				return "a control-live callee argument"
+			}
+			return ""
+		}
+		if in.Op == isa.JALR {
+			if reg == in.Rs {
+				return "an indirect call target"
+			}
+			return "a control-live callee argument (unknown callee)"
+		}
+		return "a control transfer"
+	case isa.ClassSys:
+		return "a syscall operand"
+	case isa.ClassArith:
+		if (in.Op == isa.DIV || in.Op == isa.REM) && in.Rt == reg {
+			return "a faultable divisor"
+		}
+		if r.ControlSlice[u] {
+			return "a control-influencing computation"
+		}
+	case isa.ClassLoad:
+		if in.Rs == reg {
+			if r.Policy >= core.PolicyControlAddr {
+				return "a load address under an address-protecting policy"
+			}
+			if r.ControlSlice[u] {
+				return "the address of a control-bound load"
+			}
+		}
+	case isa.ClassStore:
+		if in.Rs == reg && r.Policy >= core.PolicyControlAddr {
+			return "a store address under an address-protecting policy"
+		}
+		if in.Rt == reg && r.Policy >= core.PolicyConservative {
+			return "a stored value under the conservative policy"
+		}
+	}
+	return ""
+}
 
 func TestReachingDefsStraightLine(t *testing.T) {
 	src := `
@@ -24,7 +124,7 @@ func TestReachingDefsStraightLine(t *testing.T) {
 .endfunc
 `
 	p := assemble(t, src)
-	dus, err := ReachingDefs(p)
+	dus, err := analysis.ReachingDefs(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +166,7 @@ join:
 .endfunc
 `
 	p := assemble(t, src)
-	dus, err := ReachingDefs(p)
+	dus, err := analysis.ReachingDefs(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +207,7 @@ loop:
 .endfunc
 `
 	p := assemble(t, src)
-	dus, err := ReachingDefs(p)
+	dus, err := analysis.ReachingDefs(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,12 +241,12 @@ func TestCallClobbersCallerSaved(t *testing.T) {
 .endfunc
 `
 	p := assemble(t, src)
-	dus, err := ReachingDefs(p)
+	dus, err := analysis.ReachingDefs(p)
 	if err != nil {
 		t.Fatal(err)
 	}
 	f, _ := p.FuncByName("f")
-	var du *DefUse
+	var du *analysis.DefUse
 	for _, d := range dus {
 		if d.Func.Name == "f" {
 			du = d
@@ -171,12 +271,12 @@ func TestCrossValidateApps(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", app.Name(), err)
 		}
-		for _, pol := range []Policy{PolicyControl, PolicyControlAddr, PolicyConservative} {
-			rep, err := Analyze(prog, pol)
+		for _, pol := range []core.Policy{core.PolicyControl, core.PolicyControlAddr, core.PolicyConservative} {
+			rep, err := core.Analyze(prog, pol)
 			if err != nil {
 				t.Fatalf("%s/%s: %v", app.Name(), pol, err)
 			}
-			if err := CrossValidate(prog, rep); err != nil {
+			if err := crossValidate(prog, rep); err != nil {
 				t.Errorf("%s/%s: %v", app.Name(), pol, err)
 			}
 		}
@@ -194,12 +294,12 @@ func TestCrossValidateFuzz(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		for _, pol := range []Policy{PolicyControl, PolicyControlAddr, PolicyConservative} {
-			rep, err := Analyze(prog, pol)
+		for _, pol := range []core.Policy{core.PolicyControl, core.PolicyControlAddr, core.PolicyConservative} {
+			rep, err := core.Analyze(prog, pol)
 			if err != nil {
 				t.Fatalf("seed %d/%s: %v", seed, pol, err)
 			}
-			if err := CrossValidate(prog, rep); err != nil {
+			if err := crossValidate(prog, rep); err != nil {
 				t.Errorf("seed %d/%s: %v", seed, pol, err)
 			}
 		}
@@ -226,7 +326,7 @@ out:
 .endfunc
 `
 	p := assemble(t, src)
-	rep, err := Analyze(p, PolicyControl)
+	rep, err := core.Analyze(p, core.PolicyControl)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,7 +335,7 @@ out:
 		t.Fatalf("branch-feeding instruction tagged by the analysis itself")
 	}
 	rep.Tagged[f.Start] = true // sabotage
-	if err := CrossValidate(p, rep); err == nil {
+	if err := crossValidate(p, rep); err == nil {
 		t.Fatalf("validator accepted a tag on a branch-feeding instruction")
 	}
 }

@@ -56,7 +56,6 @@ func (w *rewriter) rewrite() (*Result, error) {
 	for fi, cfg := range w.rep.CFGs {
 		f := p.Funcs[fi]
 		start := len(w.out)
-		preds, callCont := blockPreds(w.p, cfg)
 		for bi, blk := range cfg.Blocks {
 			w.blockAt[blk.Start] = len(w.out)
 			if blk.Start == p.Entry && w.opts.DupCompare {
@@ -68,7 +67,7 @@ func (w *rewriter) rewrite() (*Result, error) {
 				w.refresh(isa.RegSP)
 			}
 			if w.opts.Signatures {
-				w.sigPrologue(fi, bi, preds[bi], callCont[bi])
+				w.sigPrologue(fi, bi, blk)
 			}
 			for idx := blk.Start; idx < blk.End; idx++ {
 				w.instr(idx)
@@ -332,17 +331,17 @@ func sigOf(fi, bi int) int32 { return 0x51<<24 | int32(fi)<<12 | int32(bi) }
 // word holds a legal predecessor's signature before installing their
 // own; function entries and call continuations re-synchronize without a
 // check (the signature chain is intra-procedural, see docs/HARDEN.md).
-func (w *rewriter) sigPrologue(fi, bi int, preds []int, callCont bool) {
+func (w *rewriter) sigPrologue(fi, bi int, blk core.Block) {
 	w.sigBlocks++
-	if bi == 0 || callCont || len(preds) == 0 {
+	if bi == 0 || blk.CallCont || len(blk.Preds) == 0 {
 		w.emit(isa.Instr{Op: isa.ADDI, Rd: isa.RegK0, Rs: isa.RegZero, Imm: sigOf(fi, bi)}, -1)
 		w.emit(isa.Instr{Op: isa.SW, Rt: isa.RegK0, Rs: isa.RegZero, Imm: int32(SigAddr)}, -1)
 		return
 	}
 	// lw k0, SIG; (addi k1, sig_p; beq k0, k1, ok)*; trapdet; ok: ...
-	ok := len(w.out) + 1 + 2*len(preds) + 1
+	ok := len(w.out) + 1 + 2*len(blk.Preds) + 1
 	w.emit(isa.Instr{Op: isa.LW, Rd: isa.RegK0, Rs: isa.RegZero, Imm: int32(SigAddr)}, -1)
-	for _, p := range preds {
+	for _, p := range blk.Preds {
 		w.emit(isa.Instr{Op: isa.ADDI, Rd: isa.RegK1, Rs: isa.RegZero, Imm: sigOf(fi, p)}, -1)
 		w.emit(isa.Instr{Op: isa.BEQ, Rs: isa.RegK0, Rt: isa.RegK1, Imm: int32(ok)}, -1)
 	}
@@ -350,35 +349,4 @@ func (w *rewriter) sigPrologue(fi, bi int, preds []int, callCont bool) {
 	w.emit(isa.Instr{Op: isa.TRAPDET}, -1)
 	w.emit(isa.Instr{Op: isa.ADDI, Rd: isa.RegK0, Rs: isa.RegZero, Imm: sigOf(fi, bi)}, -1)
 	w.emit(isa.Instr{Op: isa.SW, Rt: isa.RegK0, Rs: isa.RegZero, Imm: int32(SigAddr)}, -1)
-}
-
-// blockPreds builds, per block, the deduplicated intra-procedural
-// predecessor list and whether any predecessor ends in a call (making
-// the block a call continuation, which re-synchronizes instead of
-// checking: the signature word holds the callee's exit signature there).
-func blockPreds(p *isa.Program, cfg *core.FuncCFG) (preds [][]int, callCont []bool) {
-	preds = make([][]int, len(cfg.Blocks))
-	callCont = make([]bool, len(cfg.Blocks))
-	for pb, blk := range cfg.Blocks {
-		last := p.Text[blk.End-1]
-		isCall := last.Op == isa.JAL || last.Op == isa.JALR
-		for _, s := range blk.Succs {
-			if !contains(preds[s], pb) {
-				preds[s] = append(preds[s], pb)
-			}
-			if isCall {
-				callCont[s] = true
-			}
-		}
-	}
-	return preds, callCont
-}
-
-func contains(xs []int, x int) bool {
-	for _, v := range xs {
-		if v == x {
-			return true
-		}
-	}
-	return false
 }

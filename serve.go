@@ -404,35 +404,39 @@ func (s *Server) runSweepJob(ctx context.Context, req *server.SubmitRequest, pro
 		score = b.Score
 	}
 
-	var camp *Campaign
+	// The Lab lookup (a cache hit after prepare) and the campaign setup
+	// (the golden pass) each get a span, so job.run's time is accounted
+	// for layer by layer.
 	mode := "protected"
+	var newCampaign func() (*Campaign, error)
+	_, labSpan := obstrace.Start(ctx, "lab.build")
 	switch {
 	case req.Harden != nil:
 		mode = "hardened (detection campaign)"
-		h, err := s.lab.Harden(source, policy, HardenOptions{
+		var h *HardenedSystem
+		h, err = s.lab.Harden(source, policy, HardenOptions{
 			DupCompare: req.Harden.DupCompare,
 			Signatures: req.Harden.Signatures,
 		})
-		if err != nil {
-			return nil, err
-		}
-		camp, err = h.NewDetectionCampaign(input)
-		if err != nil {
-			return nil, err
-		}
+		newCampaign = func() (*Campaign, error) { return h.NewDetectionCampaign(input) }
 	default:
 		protected := req.Protected == nil || *req.Protected
 		if !protected {
 			mode = "unprotected"
 		}
-		sys, err := s.lab.Build(source, policy)
-		if err != nil {
-			return nil, err
-		}
-		camp, err = sys.NewCampaign(input, protected)
-		if err != nil {
-			return nil, err
-		}
+		var sys *System
+		sys, err = s.lab.Build(source, policy)
+		newCampaign = func() (*Campaign, error) { return sys.NewCampaign(input, protected) }
+	}
+	labSpan.End()
+	if err != nil {
+		return nil, err
+	}
+	_, campSpan := obstrace.Start(ctx, "campaign.new")
+	camp, err := newCampaign()
+	campSpan.End()
+	if err != nil {
+		return nil, err
 	}
 	if score != nil {
 		camp.SetScore(score)
