@@ -1,6 +1,8 @@
 // Command etcamp runs fault-injection campaigns on the checkpointed,
-// sharded campaign engine and exports the aggregated results as text,
-// JSON or CSV artifacts.
+// sharded campaign engine and exports each (application, mode) sweep as
+// a characterize report (internal/exp) in text, JSON or CSV — the same
+// report, byte for byte, that the HTTP service serves for a benchmark
+// job with the same options.
 //
 // Usage:
 //
@@ -29,16 +31,15 @@ import (
 	"strconv"
 	"strings"
 	"syscall"
-	"time"
 
 	"etap/internal/apps"
 	"etap/internal/apps/all"
 	"etap/internal/campaign"
 	"etap/internal/core"
+	"etap/internal/exp"
 	"etap/internal/minic"
 	"etap/internal/sim"
 	"etap/internal/termprog"
-	"etap/internal/textplot"
 	"etap/internal/version"
 )
 
@@ -143,25 +144,38 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
-	var werr error
 	switch opt.format {
 	case "json":
-		werr = campaign.WriteJSON(out, reports)
+		err = exp.WriteJSON(out, reports)
 	case "csv":
-		werr = campaign.WriteCSV(out, reports)
+		err = exp.WriteCSV(out, reports)
 	default:
-		werr = writeText(out, reports)
+		for _, r := range reports {
+			if _, err = io.WriteString(out, r.RenderText()+"\n"); err != nil {
+				break
+			}
+		}
 	}
-	if werr != nil {
-		return werr
+	if err != nil {
+		return err
 	}
 	// A cancelled campaign still exports what it measured, but exits
 	// non-zero so scripts know the sweep is incomplete.
 	return ctx.Err()
 }
 
-func runCampaigns(ctx context.Context, opt options, stderr io.Writer) ([]*campaign.Report, error) {
-	var reports []*campaign.Report
+// runCampaigns sweeps every (application, mode) pair and folds each
+// sweep into a characterize report, the same report the HTTP service
+// serves for a benchmark job.
+func runCampaigns(ctx context.Context, opt options, stderr io.Writer) ([]*exp.Report, error) {
+	var reports []*exp.Report
+	tmpl := campaign.Point{
+		HiBit:     31,
+		MaxTrials: opt.trials,
+		MinTrials: opt.minTrials,
+		StopWidth: opt.ciWidth,
+	}
+	pts := campaign.ErrorPoints(tmpl, opt.errors)
 	for _, a := range opt.apps {
 		if ctx.Err() != nil {
 			break
@@ -190,20 +204,12 @@ func runCampaigns(ctx context.Context, opt options, stderr io.Writer) ([]*campai
 			eng.Score = apps.Scorer(a)
 			fmt.Fprintf(stderr, "[%s/%s] golden pass: %d instructions, %d checkpoints, %.1f%% eligible\n",
 				a.Name(), mode, eng.Clean.Instret, eng.Checkpoints(), 100*eng.EligibleFraction())
-			var points []campaign.PointResult
-			for _, n := range opt.errors {
-				start := time.Now()
-				prog := termprog.New(stderr)
-				p := eng.RunPoint(ctx, campaign.Point{
-					Errors:    n,
-					HiBit:     31,
-					MaxTrials: opt.trials,
-					MinTrials: opt.minTrials,
-					StopWidth: opt.ciWidth,
-				}, func(trial int, tr campaign.Trial) {
-					prog.Printf("[%s/%s] errors=%d trial %d/%d", a.Name(), mode, n, trial+1, opt.trials)
-				})
-				prog.Clear()
+			prog := termprog.New(stderr)
+			points := eng.Sweep(ctx, pts, func(i, trial int, tr campaign.Trial) {
+				prog.Printf("[%s/%s] errors=%d trial %d/%d", a.Name(), mode, pts[i].Errors, trial+1, opt.trials)
+			})
+			prog.Clear()
+			for _, p := range points {
 				note := ""
 				if p.EarlyStopped {
 					note = " (early stop)"
@@ -211,51 +217,13 @@ func runCampaigns(ctx context.Context, opt options, stderr io.Writer) ([]*campai
 				if p.Cancelled {
 					note = " (cancelled)"
 				}
-				fmt.Fprintf(stderr, "[%s/%s] errors=%d trials=%d fail=%.1f%% [%.1f, %.1f] accept=%.1f%% in %.2fs%s\n",
-					a.Name(), mode, n, p.Trials, p.FailPct, p.FailLowPct, p.FailHighPct, p.AcceptPct,
-					time.Since(start).Seconds(), note)
-				points = append(points, p)
-				if p.Cancelled {
-					break
-				}
+				fmt.Fprintf(stderr, "[%s/%s] errors=%d trials=%d fail=%.1f%% [%.1f, %.1f] accept=%.1f%%%s\n",
+					a.Name(), mode, p.Errors, p.Trials, p.FailPct, p.FailLowPct, p.FailHighPct, p.AcceptPct, note)
 			}
-			reports = append(reports, eng.NewReport(a.Name(), mode, points))
+			reports = append(reports, exp.Characterize(eng, a.Name(), mode, opt.policy.String(), tmpl, points))
 		}
 	}
 	return reports, nil
-}
-
-func writeText(w io.Writer, reports []*campaign.Report) error {
-	for _, r := range reports {
-		fmt.Fprintf(w, "%s (%s): %d clean instructions, %.1f%% of the dynamic stream eligible\n\n",
-			r.Benchmark, r.Mode, r.CleanInstructions, 100*r.EligibleFraction)
-		rows := make([][]string, len(r.Points))
-		for i, p := range r.Points {
-			mean := "-"
-			if p.MeanValue == p.MeanValue { // not NaN
-				mean = fmt.Sprintf("%.1f", p.MeanValue)
-			}
-			stopped := ""
-			if p.EarlyStopped {
-				stopped = "early"
-			}
-			rows[i] = []string{
-				strconv.Itoa(p.Errors),
-				strconv.Itoa(p.Trials),
-				fmt.Sprintf("%.1f%%", p.FailPct),
-				fmt.Sprintf("[%.1f, %.1f]", p.FailLowPct, p.FailHighPct),
-				fmt.Sprintf("%.1f%%", p.AcceptPct),
-				mean,
-				stopped,
-			}
-		}
-		if _, err := io.WriteString(w, textplot.Table(
-			[]string{"Errors", "Trials", "Fail", "Fail 95% CI", "Accept", "Mean fidelity", ""}, rows)); err != nil {
-			return err
-		}
-		fmt.Fprintln(w)
-	}
-	return nil
 }
 
 func parseApps(s string) ([]apps.App, error) {

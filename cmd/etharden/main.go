@@ -28,24 +28,22 @@ package main
 import (
 	"bytes"
 	"context"
-	"encoding/csv"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 	"os/signal"
-	"strconv"
 	"syscall"
 	"time"
 
 	"etap/internal/apps/all"
 	"etap/internal/campaign"
 	"etap/internal/core"
+	"etap/internal/exp"
 	"etap/internal/harden"
 	"etap/internal/minic"
 	"etap/internal/sim"
 	"etap/internal/termprog"
-	"etap/internal/textplot"
 	"etap/internal/version"
 )
 
@@ -64,17 +62,6 @@ func main() {
 type usageError string
 
 func (e usageError) Error() string { return string(e) }
-
-// row is one (application, policy) measurement.
-type row struct {
-	app        string
-	policy     core.Policy
-	opts       harden.Options
-	sites      int
-	staticOvh  float64
-	dynamicOvh float64
-	point      campaign.PointResult
-}
 
 func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("etharden", flag.ContinueOnError)
@@ -129,7 +116,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		out = f
 	}
 
-	var rows []row
+	table := newReport(opts, *errorsN)
 	for _, a := range sel {
 		if ctx.Err() != nil {
 			break
@@ -199,90 +186,58 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 				pt.DetectLatencyP50, pt.DetectLatencyP95,
 				time.Since(start).Seconds(), note)
 
-			rows = append(rows, row{
-				app:        a.Name(),
-				policy:     pol,
-				opts:       opts,
-				sites:      sites,
-				staticOvh:  res.StaticOverhead(),
-				dynamicOvh: float64(hard.Instret) / float64(base.Instret),
-				point:      pt,
-			})
+			table.Rows = append(table.Rows, reportRow(a.Name(), pol, sites,
+				res.StaticOverhead(), float64(hard.Instret)/float64(base.Instret), pt))
 		}
 	}
 
-	var werr error
 	if *format == "csv" {
-		werr = writeCSV(out, rows)
+		err = exp.WriteCSV(out, []*exp.Report{table})
 	} else {
-		werr = writeText(out, rows, opts, *errorsN)
+		_, err = io.WriteString(out, table.RenderText())
 	}
-	if werr != nil {
-		return werr
+	if err != nil {
+		return err
 	}
 	return ctx.Err()
 }
 
-func writeText(w io.Writer, rows []row, opts harden.Options, errors int) error {
-	fmt.Fprintf(w, "Realized protection (%s transforms), %d error(s) per trial into protected primaries.\n", opts, errors)
-	fmt.Fprintf(w, "The idealized model assumes 100%% coverage and 1.00x overhead for these faults.\n\n")
-	header := []string{"App", "Policy", "Sites", "Static", "Dynamic", "Coverage", "95% CI", "Lat p50", "Lat p95", "Crash", "Timeout", "SDC", "Masked"}
-	cells := make([][]string, len(rows))
-	for i, r := range rows {
-		p := r.point
-		sdc := p.Completed - p.Masked
-		cells[i] = []string{
-			r.app,
-			r.policy.String(),
-			strconv.Itoa(r.sites),
-			fmt.Sprintf("%.2fx", r.staticOvh),
-			fmt.Sprintf("%.2fx", r.dynamicOvh),
-			fmt.Sprintf("%.1f%%", p.DetectPct),
-			fmt.Sprintf("[%.1f, %.1f]", p.DetectLowPct, p.DetectHighPct),
-			strconv.FormatUint(p.DetectLatencyP50, 10),
-			strconv.FormatUint(p.DetectLatencyP95, 10),
-			strconv.Itoa(p.Crashes),
-			strconv.Itoa(p.Timeouts),
-			strconv.Itoa(sdc),
-			strconv.Itoa(p.Masked),
-		}
+// newReport starts the coverage table: one row per (application,
+// policy) pair, under the two-line preamble as its title.
+func newReport(opts harden.Options, errors int) *exp.Report {
+	return &exp.Report{
+		ID: "harden",
+		Title: fmt.Sprintf("Realized protection (%s transforms), %d error(s) per trial into protected primaries.\n", opts, errors) +
+			"The idealized model assumes 100% coverage and 1.00x overhead for these faults.",
+		Kind: exp.KindTable,
+		Columns: []exp.Column{
+			{Name: "App"}, {Name: "Policy"}, {Name: "Sites", Unit: "count"},
+			{Name: "Static", Unit: "x"}, {Name: "Dynamic", Unit: "x"},
+			{Name: "Coverage", Unit: "%"}, {Name: "95% CI"},
+			{Name: "Lat p50", Unit: "instructions"}, {Name: "Lat p95", Unit: "instructions"},
+			{Name: "Crash", Unit: "count"}, {Name: "Timeout", Unit: "count"},
+			{Name: "SDC", Unit: "count"}, {Name: "Masked", Unit: "count"},
+		},
 	}
-	if _, err := io.WriteString(w, textplot.Table(header, cells)); err != nil {
-		return err
-	}
-	return nil
 }
 
-func writeCSV(w io.Writer, rows []row) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{
-		"app", "policy", "transforms", "sites", "static_overhead", "dynamic_overhead",
-		"trials", "detected", "crashes", "timeouts", "sdc", "masked",
-		"detect_pct", "detect_lo_pct", "detect_hi_pct",
-		"detect_latency_p50", "detect_latency_p95",
-	}); err != nil {
-		return err
+// reportRow is one (application, policy) measurement.
+func reportRow(app string, pol core.Policy, sites int, staticOvh, dynamicOvh float64, p campaign.PointResult) []exp.Cell {
+	return []exp.Cell{
+		exp.CellStr(app),
+		exp.CellStr(pol.String()),
+		exp.CellInt(sites),
+		exp.CellNum(fmt.Sprintf("%.2fx", staticOvh), staticOvh),
+		exp.CellNum(fmt.Sprintf("%.2fx", dynamicOvh), dynamicOvh),
+		exp.CellCI(fmt.Sprintf("%.1f%%", p.DetectPct), p.DetectPct, p.DetectLowPct, p.DetectHighPct),
+		exp.CellStr(fmt.Sprintf("[%.1f, %.1f]", p.DetectLowPct, p.DetectHighPct)),
+		exp.CellInt(int(p.DetectLatencyP50)),
+		exp.CellInt(int(p.DetectLatencyP95)),
+		exp.CellInt(p.Crashes),
+		exp.CellInt(p.Timeouts),
+		exp.CellInt(p.Completed - p.Masked),
+		exp.CellInt(p.Masked),
 	}
-	for _, r := range rows {
-		p := r.point
-		if err := cw.Write([]string{
-			r.app, r.policy.String(), r.opts.String(), strconv.Itoa(r.sites),
-			strconv.FormatFloat(r.staticOvh, 'f', 4, 64),
-			strconv.FormatFloat(r.dynamicOvh, 'f', 4, 64),
-			strconv.Itoa(p.Trials), strconv.Itoa(p.Detected),
-			strconv.Itoa(p.Crashes), strconv.Itoa(p.Timeouts),
-			strconv.Itoa(p.Completed - p.Masked), strconv.Itoa(p.Masked),
-			strconv.FormatFloat(p.DetectPct, 'f', 2, 64),
-			strconv.FormatFloat(p.DetectLowPct, 'f', 2, 64),
-			strconv.FormatFloat(p.DetectHighPct, 'f', 2, 64),
-			strconv.FormatUint(p.DetectLatencyP50, 10),
-			strconv.FormatUint(p.DetectLatencyP95, 10),
-		}); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
 }
 
 func parsePolicies(s string) ([]core.Policy, error) {

@@ -457,14 +457,11 @@ func (c *Campaign) RunPoint(ctx context.Context, errors int, opts ...Option) Poi
 // points so far) when ctx is cancelled.
 func (c *Campaign) Sweep(ctx context.Context, errorCounts []int, opts ...Option) []PointStats {
 	cfg := applyOptions(opts)
-	out := make([]PointStats, 0, len(errorCounts))
-	for _, n := range errorCounts {
-		if ctx.Err() != nil {
-			return out
-		}
-		out = append(out, c.c.RunPoint(ctx, cfg.point(n), cfg.observer()))
+	var observe campaign.SweepObserver
+	if obs := cfg.observer(); obs != nil {
+		observe = func(_, trial int, tr campaign.Trial) { obs(trial, tr) }
 	}
-	return out
+	return c.c.Sweep(ctx, campaign.ErrorPoints(cfg.point(0), errorCounts), observe)
 }
 
 // Benchmark is one of the paper's Table 1 applications.

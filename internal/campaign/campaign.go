@@ -374,10 +374,7 @@ func (e *Engine) RunPoint(ctx context.Context, pt Point, observe Observer) Point
 	if pt.MaxTrials <= 0 {
 		pt.MaxTrials = 1
 	}
-	seed := pt.Seed
-	if seed == 0 {
-		seed = e.cfg.Seed
-	}
+	seed := e.PointSeed(pt)
 	shardSize := e.cfg.ShardSize
 	if pt.MinTrials <= 0 {
 		pt.MinTrials = 2 * shardSize
@@ -491,6 +488,54 @@ func (e *Engine) RunPoint(ctx context.Context, pt Point, observe Observer) Point
 		obstrace.Bool("stopped_early", r.EarlyStopped),
 		obstrace.Bool("cancelled", r.Cancelled))
 	return r
+}
+
+// PointSeed is the seed pt's trial schedule derives from: pt.Seed, or
+// the engine seed when the point sets none.
+func (e *Engine) PointSeed(pt Point) int64 {
+	if pt.Seed != 0 {
+		return pt.Seed
+	}
+	return e.cfg.Seed
+}
+
+// SweepObserver receives every aggregated trial of a sweep, tagged with
+// the index of its point in the sweep. Like Observer it runs on the
+// collector goroutine.
+type SweepObserver func(point, trial int, tr Trial)
+
+// ErrorPoints expands a template point into one point per error count,
+// the shape of every error-count sweep.
+func ErrorPoints(tmpl Point, errorCounts []int) []Point {
+	pts := make([]Point, len(errorCounts))
+	for i, n := range errorCounts {
+		pts[i] = tmpl
+		pts[i].Errors = n
+	}
+	return pts
+}
+
+// Sweep runs the points in order through RunPoint and returns their
+// results. Once ctx is done it starts no further point: the result
+// list ends at the interrupted point, which comes back partial with
+// Cancelled set (or earlier, if ctx was done before a point started).
+// observe, when non-nil, receives every trial with its point index.
+func (e *Engine) Sweep(ctx context.Context, pts []Point, observe SweepObserver) []PointResult {
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	out := make([]PointResult, 0, len(pts))
+	for i, pt := range pts {
+		if ctx.Err() != nil {
+			break
+		}
+		var obs Observer
+		if observe != nil {
+			obs = func(trial int, tr Trial) { observe(i, trial, tr) }
+		}
+		out = append(out, e.RunPoint(ctx, pt, obs))
+	}
+	return out
 }
 
 // runShard executes one shard's trials sequentially off the shard's own

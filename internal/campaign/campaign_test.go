@@ -3,9 +3,7 @@ package campaign_test
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"math"
-	"strings"
 	"testing"
 	"time"
 
@@ -208,36 +206,60 @@ func TestZeroErrorTrialsMatchClean(t *testing.T) {
 	}
 }
 
-func TestExportJSONAndCSV(t *testing.T) {
-	e, _, _ := buildEngine(t, "adpcm", campaign.Config{Seed: 3, ShardSize: 8})
-	points := []campaign.PointResult{
-		e.RunPoint(ctx, campaign.Point{Errors: 0, HiBit: 31, MaxTrials: 8}, nil),
-		e.RunPoint(ctx, campaign.Point{Errors: 10, HiBit: 31, MaxTrials: 8}, nil),
-	}
-	rep := e.NewReport("adpcm", "protected", points)
+// TestSweepMatchesRunPoint is the Sweep contract: a sweep equals one
+// RunPoint per point in order, its observer sees every trial tagged with
+// the right point index, and a cancel inside a point ends the sweep
+// there with that point partial and flagged — at any worker count.
+func TestSweepMatchesRunPoint(t *testing.T) {
+	e, _, _ := buildEngine(t, "adpcm", campaign.Config{Seed: 11, ShardSize: 8})
+	for _, workers := range []int{1, 8} {
+		tmpl := campaign.Point{HiBit: 31, MaxTrials: 24, Workers: workers}
+		pts := campaign.ErrorPoints(tmpl, []int{1, 3, 6})
+		type seen struct{ point, trial int }
+		var got []seen
+		sweep := e.Sweep(ctx, pts, func(i, trial int, tr campaign.Trial) {
+			got = append(got, seen{i, trial})
+		})
+		if len(sweep) != len(pts) {
+			t.Fatalf("workers=%d: sweep returned %d of %d points", workers, len(sweep), len(pts))
+		}
+		var want []seen
+		for i, pt := range pts {
+			if r := e.RunPoint(ctx, pt, nil); !pointsEqual(r, sweep[i]) {
+				t.Fatalf("workers=%d point %d: sweep differs from RunPoint\n%+v\n%+v", workers, i, sweep[i], r)
+			}
+			for trial := 0; trial < sweep[i].Trials; trial++ {
+				want = append(want, seen{i, trial})
+			}
+		}
+		if len(got) != len(want) {
+			t.Fatalf("workers=%d: observer saw %d trials, sweep reports %d", workers, len(got), len(want))
+		}
+		for k := range want {
+			if got[k] != want[k] {
+				t.Fatalf("workers=%d: observer call %d was %+v, want %+v", workers, k, got[k], want[k])
+			}
+		}
 
-	var jb bytes.Buffer
-	if err := campaign.WriteJSON(&jb, []*campaign.Report{rep}); err != nil {
-		t.Fatal(err)
-	}
-	var decoded []map[string]any
-	if err := json.Unmarshal(jb.Bytes(), &decoded); err != nil {
-		t.Fatalf("invalid JSON artifact: %v\n%s", err, jb.String())
-	}
-	if len(decoded) != 1 || decoded[0]["benchmark"] != "adpcm" {
-		t.Fatalf("unexpected JSON shape: %s", jb.String())
-	}
-
-	var cb bytes.Buffer
-	if err := campaign.WriteCSV(&cb, []*campaign.Report{rep}); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(cb.String()), "\n")
-	if len(lines) != 3 {
-		t.Fatalf("CSV should have header + 2 rows, got %d lines:\n%s", len(lines), cb.String())
-	}
-	if !strings.HasPrefix(lines[0], "benchmark,mode,seed,errors") {
-		t.Fatalf("unexpected CSV header: %s", lines[0])
+		// Cancel inside the second point, whose budget could never finish
+		// in the test's lifetime: the sweep stops there.
+		cctx, cancel := context.WithCancel(context.Background())
+		pts[1].MaxTrials = 1 << 20
+		partial := e.Sweep(cctx, pts, func(i, trial int, tr campaign.Trial) {
+			if i == 1 && trial == 3 {
+				cancel()
+			}
+		})
+		cancel()
+		if len(partial) != 2 {
+			t.Fatalf("workers=%d: cancelled sweep returned %d points, want 2", workers, len(partial))
+		}
+		if !pointsEqual(partial[0], sweep[0]) || partial[0].Cancelled {
+			t.Fatalf("workers=%d: point before the cancel changed: %+v", workers, partial[0])
+		}
+		if p := partial[1]; !p.Cancelled || p.Trials < 4 || p.Trials >= pts[1].MaxTrials {
+			t.Fatalf("workers=%d: interrupted point not partial and flagged: %+v", workers, p)
+		}
 	}
 }
 

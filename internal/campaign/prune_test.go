@@ -9,6 +9,7 @@ import (
 	"etap/internal/asm"
 	"etap/internal/campaign"
 	"etap/internal/core"
+	"etap/internal/exp"
 	"etap/internal/harden"
 	"etap/internal/isa"
 	"etap/internal/minic"
@@ -91,25 +92,28 @@ func TestPruningDifferential(t *testing.T) {
 			fullPts = append(fullPts, fr)
 			prunedPts = append(prunedPts, pr)
 
-			// The serialized artifacts must be byte-identical too.
+			// The serialized reports must be byte-identical too.
+			tmpl := campaign.Point{HiBit: 31, MaxTrials: 32}
+			fullRep := exp.Characterize(full, name, "full", "control+addr", tmpl, fullPts)
+			prunedRep := exp.Characterize(pruned, name, "full", "control+addr", tmpl, prunedPts)
 			var fj, pj, fc, pc bytes.Buffer
-			if err := campaign.WriteJSON(&fj, []*campaign.Report{full.NewReport(name, "full", fullPts)}); err != nil {
+			if err := exp.WriteJSON(&fj, []*exp.Report{fullRep}); err != nil {
 				t.Fatal(err)
 			}
-			if err := campaign.WriteJSON(&pj, []*campaign.Report{pruned.NewReport(name, "full", prunedPts)}); err != nil {
+			if err := exp.WriteJSON(&pj, []*exp.Report{prunedRep}); err != nil {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(fj.Bytes(), pj.Bytes()) {
-				t.Fatalf("JSON artifacts differ:\n%s\nvs\n%s", fj.String(), pj.String())
+				t.Fatalf("JSON reports differ:\n%s\nvs\n%s", fj.String(), pj.String())
 			}
-			if err := campaign.WriteCSV(&fc, []*campaign.Report{full.NewReport(name, "full", fullPts)}); err != nil {
+			if err := exp.WriteCSV(&fc, []*exp.Report{fullRep}); err != nil {
 				t.Fatal(err)
 			}
-			if err := campaign.WriteCSV(&pc, []*campaign.Report{pruned.NewReport(name, "full", prunedPts)}); err != nil {
+			if err := exp.WriteCSV(&pc, []*exp.Report{prunedRep}); err != nil {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(fc.Bytes(), pc.Bytes()) {
-				t.Fatalf("CSV artifacts differ:\n%s\nvs\n%s", fc.String(), pc.String())
+				t.Fatalf("CSV reports differ:\n%s\nvs\n%s", fc.String(), pc.String())
 			}
 
 			if full.PrunedTrials() != 0 {

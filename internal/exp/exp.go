@@ -104,31 +104,27 @@ func Build(app apps.App, pol core.Policy) (*Built, error) {
 	return &Built{App: app, Prog: prog, Report: rep, On: on, Off: off, Golden: on.Clean.Output}, nil
 }
 
+// point is the campaign point opt describes at n errors.
+func (o Options) point(n int) campaign.Point {
+	o = o.withDefaults()
+	return campaign.Point{Errors: n, HiBit: 31, MaxTrials: o.Trials, Seed: o.Seed, Workers: o.Workers}
+}
+
 // RunPoint executes trials with n errors on campaign engine c. A
 // cancelled context yields a partial point; callers that care check
 // ctx.Err afterwards.
 func (b *Built) RunPoint(ctx context.Context, c *campaign.Engine, n int, opt Options) campaign.PointResult {
-	opt = opt.withDefaults()
-	return c.RunPoint(ctx, campaign.Point{
-		Errors:    n,
-		HiBit:     31,
-		MaxTrials: opt.Trials,
-		Seed:      opt.Seed,
-		Workers:   opt.Workers,
-	}, opt.Observer)
+	return c.RunPoint(ctx, opt.point(n), opt.Observer)
 }
 
-// Sweep runs RunPoint for each error count, stopping early when ctx is
-// cancelled.
+// Sweep runs one point per error count on c (campaign.Engine.Sweep),
+// stopping early when ctx is cancelled.
 func (b *Built) Sweep(ctx context.Context, c *campaign.Engine, errorCounts []int, opt Options) []campaign.PointResult {
-	out := make([]campaign.PointResult, len(errorCounts))
-	for i, n := range errorCounts {
-		if ctx.Err() != nil {
-			return out[:i]
-		}
-		out[i] = b.RunPoint(ctx, c, n, opt)
+	var observe campaign.SweepObserver
+	if opt.Observer != nil {
+		observe = func(_, trial int, tr campaign.Trial) { opt.Observer(trial, tr) }
 	}
-	return out
+	return c.Sweep(ctx, campaign.ErrorPoints(opt.point(0), errorCounts), observe)
 }
 
 // TaggedDynamicPct is Table 3's "% low reliability instructions": the

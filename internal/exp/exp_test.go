@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"etap/internal/apps/all"
+	"etap/internal/campaign"
 	"etap/internal/core"
 )
 
@@ -410,6 +411,59 @@ func TestReportJSONAndCSV(t *testing.T) {
 	out := cb.String()
 	if !strings.Contains(out, "report,Application") || !strings.Contains(out, "table1,susan") {
 		t.Fatalf("unexpected CSV: %s", out)
+	}
+}
+
+// TestCharacterizeReportJSONAndCSV: a sweep folds into the characterize
+// report with one row per point, echoes the template's budget and seed
+// (the engine's seed when the template sets none), and its CSV rows are
+// keyed by report, app and mode.
+func TestCharacterizeReportJSONAndCSV(t *testing.T) {
+	a, _ := all.ByName("adpcm")
+	b, err := Build(a, core.PolicyControlAddr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tmpl := campaign.Point{HiBit: 31, MaxTrials: 8, Seed: 3}
+	points := b.On.Sweep(ctx, campaign.ErrorPoints(tmpl, []int{0, 10}), nil)
+	rep := Characterize(b.On, "adpcm", "protected", "control+addr", tmpl, points)
+
+	var jb bytes.Buffer
+	if err := WriteJSON(&jb, []*Report{rep}); err != nil {
+		t.Fatal(err)
+	}
+	var decoded []map[string]any
+	if err := json.Unmarshal(jb.Bytes(), &decoded); err != nil {
+		t.Fatalf("invalid JSON report: %v\n%s", err, jb.String())
+	}
+	if len(decoded) != 1 || decoded[0]["id"] != "characterize" || decoded[0]["app"] != "adpcm" ||
+		decoded[0]["mode"] != "protected" || decoded[0]["seed"] != 3.0 || decoded[0]["trials"] != 8.0 {
+		t.Fatalf("unexpected JSON shape: %s", jb.String())
+	}
+	if rows, _ := decoded[0]["rows"].([]any); len(rows) != 2 {
+		t.Fatalf("want 2 rows: %s", jb.String())
+	}
+
+	var cb bytes.Buffer
+	if err := WriteCSV(&cb, []*Report{rep}); err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSpace(cb.String()), "\n")
+	if len(lines) != 3 {
+		t.Fatalf("CSV should have header + 2 rows, got %d lines:\n%s", len(lines), cb.String())
+	}
+	if !strings.HasPrefix(lines[0], "report,app,mode,errors,trials,") {
+		t.Fatalf("unexpected CSV header: %s", lines[0])
+	}
+	for _, l := range lines[1:] {
+		if !strings.HasPrefix(l, "characterize,adpcm,protected,") {
+			t.Fatalf("CSV row not keyed by report, app and mode: %s", l)
+		}
+	}
+
+	tmpl.Seed = 0
+	if got := Characterize(b.On, "adpcm", "protected", "control+addr", tmpl, points).Seed; got != 1 {
+		t.Fatalf("seedless template reported seed %d, want the engine's 1", got)
 	}
 }
 

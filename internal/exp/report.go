@@ -41,9 +41,9 @@ type Cell struct {
 }
 
 // CellStr, CellInt, CellNum and CellCI construct cells under the
-// renderers' conventions; report builders outside the package (the HTTP
-// service's sweep reports) share them so the formatting contract has
-// one implementation.
+// renderers' conventions; they are exported for report builders outside
+// the package (cmd/etharden's coverage table), so the formatting
+// contract has one implementation.
 func CellStr(s string) Cell { return Cell{Text: s} }
 
 func CellInt(n int) Cell {
@@ -51,7 +51,7 @@ func CellInt(n int) Cell {
 	return Cell{Text: strconv.Itoa(n), Num: &v}
 }
 
-// cellNum pairs a pre-formatted text with its numeric value; NaN leaves
+// CellNum pairs a pre-formatted text with its numeric value; NaN leaves
 // the cell textual so JSON consumers see null, not a broken number.
 func CellNum(text string, v float64) Cell {
 	c := Cell{Text: text}
@@ -61,7 +61,7 @@ func CellNum(text string, v float64) Cell {
 	return c
 }
 
-// cellCI is cellNum plus Wilson interval bounds.
+// CellCI is CellNum plus Wilson interval bounds.
 func CellCI(text string, v, lo, hi float64) Cell {
 	c := CellNum(text, v)
 	if c.Num != nil {
@@ -107,9 +107,13 @@ type Report struct {
 	// above the table, for figures the chart title.
 	Title string `json:"title"`
 	Kind  Kind   `json:"kind"`
-	// App names the single benchmark a figure sweeps; empty for
-	// multi-benchmark tables.
-	App    string `json:"app,omitempty"`
+	// App names the single benchmark a figure or characterization
+	// sweeps; empty for multi-benchmark tables.
+	App string `json:"app,omitempty"`
+	// Mode names the eligibility mode a characterization swept
+	// ("protected", "unprotected", "hardened (detection campaign)");
+	// empty for every other report.
+	Mode   string `json:"mode,omitempty"`
 	XLabel string `json:"x_label,omitempty"`
 	YLabel string `json:"y_label,omitempty"`
 
@@ -178,9 +182,10 @@ func WriteJSON(w io.Writer, reports []*Report) error {
 }
 
 // WriteCSV renders reports as CSV, one block per report separated by a
-// blank line. Each block leads with a header row whose first column is
-// "report" (the report ID repeats on every data row, so blocks stay
-// self-describing when split apart). Columns carrying confidence bounds
+// blank line. Each block leads with a header row whose key columns are
+// "report", then "app" and "mode" when the report sets them (the keys
+// repeat on every data row, so blocks stay self-describing when split
+// apart or concatenated). Columns carrying confidence bounds
 // get companion "<name> (lo)"/"<name> (hi)" columns; numeric cells are
 // written at full precision, textual cells verbatim.
 func WriteCSV(w io.Writer, reports []*Report) error {
@@ -206,7 +211,14 @@ func (r *Report) writeCSVBlock(w io.Writer) error {
 			}
 		}
 	}
+	keys := []string{r.ID}
 	header := []string{"report"}
+	if r.App != "" {
+		keys, header = append(keys, r.App), append(header, "app")
+	}
+	if r.Mode != "" {
+		keys, header = append(keys, r.Mode), append(header, "mode")
+	}
 	for j, c := range r.Columns {
 		header = append(header, c.Name)
 		if hasCI[j] {
@@ -224,7 +236,7 @@ func (r *Report) writeCSVBlock(w io.Writer) error {
 		return strconv.FormatFloat(*p, 'g', -1, 64)
 	}
 	for _, row := range r.Rows {
-		rec := []string{r.ID}
+		rec := append([]string(nil), keys...)
 		for j, c := range row {
 			if c.Num != nil {
 				rec = append(rec, num(c.Num))

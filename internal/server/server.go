@@ -99,7 +99,7 @@ type Config struct {
 	// QueueDepth bounds jobs waiting for a worker; a full queue rejects
 	// submissions with 503. 0 means 64.
 	QueueDepth int
-	// Store persists the job table; nil means a fresh MemStore.
+	// Store persists the job table; nil means no persistence.
 	Store Store
 	// MaxBodyBytes bounds request bodies; 0 means 8 MiB — enough head
 	// room for the per-field limits (MaxSourceBytes, MaxInputBytes) to
@@ -147,9 +147,6 @@ func (c Config) withDefaults() (Config, error) {
 	}
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 64
-	}
-	if c.Store == nil {
-		c.Store = NewMemStore()
 	}
 	if c.MaxBodyBytes <= 0 {
 		c.MaxBodyBytes = 8 << 20
@@ -444,10 +441,12 @@ func NewManager(cfg Config) (*Manager, error) {
 		prepSem: make(chan struct{}, cfg.Workers),
 	}
 	m.cond = sync.NewCond(&m.mu)
-	persisted, err := cfg.Store.Load()
-	if err != nil {
-		stop()
-		return nil, err
+	var persisted []PersistedJob
+	if cfg.Store != nil {
+		if persisted, err = cfg.Store.Load(); err != nil {
+			stop()
+			return nil, err
+		}
 	}
 	for _, p := range persisted {
 		p := p
@@ -912,47 +911,40 @@ func (j *Job) persisted() PersistedJob {
 	}
 }
 
-// persistJob saves one job's durable state after a state change.
-// Incremental stores (JobStore) get just that job — O(1) instead of
-// rewriting the whole table, which dominated submit/finish latency once
-// the table held many finished jobs with reports. Plain stores fall
-// back to the full snapshot.
+// persistJob saves one job's durable state after a state change:
+// just that job, never the whole table.
 func (m *Manager) persistJob(j *Job) {
-	js, ok := m.cfg.Store.(JobStore)
-	if !ok {
-		m.persist()
+	if m.cfg.Store == nil {
 		return
 	}
 	m.saveMu.Lock()
 	defer m.saveMu.Unlock()
-	if err := js.SaveJob(j.persisted()); err != nil {
+	if err := m.cfg.Store.SaveJob(j.persisted()); err != nil {
 		m.log.Error("persisting job failed", "job", j.ID, "error", err)
 	}
 }
 
-// forgetJobs drops evicted jobs from an incremental store. Plain
-// stores need nothing: their next full snapshot simply omits the
-// evicted jobs.
+// forgetJobs drops evicted jobs from the store.
 func (m *Manager) forgetJobs(ids []string) {
-	if len(ids) == 0 {
-		return
-	}
-	js, ok := m.cfg.Store.(JobStore)
-	if !ok {
+	if len(ids) == 0 || m.cfg.Store == nil {
 		return
 	}
 	m.saveMu.Lock()
 	defer m.saveMu.Unlock()
 	for _, id := range ids {
-		if err := js.DeleteJob(id); err != nil {
+		if err := m.cfg.Store.DeleteJob(id); err != nil {
 			m.log.Error("dropping evicted job from store failed", "job", id, "error", err)
 		}
 	}
 }
 
-// persist snapshots the whole job table through the store. Saves are
-// serialized; a late save always writes the newest table.
+// persist snapshots the whole job table through the store, compacting
+// its journal. Saves are serialized; a late save always writes the
+// newest table.
 func (m *Manager) persist() {
+	if m.cfg.Store == nil {
+		return
+	}
 	m.saveMu.Lock()
 	defer m.saveMu.Unlock()
 	m.mu.Lock()

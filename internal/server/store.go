@@ -28,46 +28,21 @@ type PersistedJob struct {
 	Report     json.RawMessage `json:"report,omitempty"`
 }
 
-// Store persists the job table. Load seeds the table on startup so a
-// restarted server still answers for finished jobs; Save writes a full
-// snapshot (shutdown, and the fallback for every state change when the
-// store is not a JobStore).
+// Store persists the job table. Load seeds the table once on startup,
+// so a restarted server still answers for finished jobs; SaveJob
+// records one job after each state change and DeleteJob drops an
+// evicted one; Save writes a full snapshot at shutdown. FileStore is
+// the implementation; a server without a Store keeps nothing across
+// restarts.
 //
 // Implementations must be safe for concurrent use by one manager
 // (Save/SaveJob/DeleteJob calls are serialized by the manager, Load
 // happens once).
 type Store interface {
 	Load() ([]PersistedJob, error)
-	Save([]PersistedJob) error
-}
-
-// JobStore is an optional Store extension for incremental persistence:
-// a manager whose store implements it saves only the changed job on
-// each state change (and deletes evicted ones) instead of rewriting
-// the whole table — O(1) per transition instead of O(jobs × report
-// size).
-type JobStore interface {
 	SaveJob(PersistedJob) error
 	DeleteJob(id string) error
-}
-
-// MemStore is a Store that remembers the last snapshot in memory — the
-// default when no state file is configured, and the restart-simulation
-// vehicle for tests.
-type MemStore struct {
-	jobs []PersistedJob
-}
-
-// NewMemStore creates an empty in-memory store.
-func NewMemStore() *MemStore { return &MemStore{} }
-
-// Load returns the last saved snapshot.
-func (m *MemStore) Load() ([]PersistedJob, error) { return m.jobs, nil }
-
-// Save replaces the snapshot.
-func (m *MemStore) Save(jobs []PersistedJob) error {
-	m.jobs = append([]PersistedJob(nil), jobs...)
-	return nil
+	Save([]PersistedJob) error
 }
 
 // compactThreshold is how many journal records a FileStore accumulates

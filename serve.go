@@ -4,10 +4,10 @@ import (
 	"context"
 	"fmt"
 	"log/slog"
-	"math"
 	"net/http"
 	"time"
 
+	"etap/internal/campaign"
 	"etap/internal/exp"
 	"etap/internal/obs"
 	obstrace "etap/internal/obs/trace"
@@ -381,9 +381,9 @@ func (s *Server) runExperimentJob(ctx context.Context, req *server.SubmitRequest
 
 // runSweepJob characterizes one benchmark or ad-hoc source: build (a
 // Lab cache hit after prepare), set up the campaign, sweep the error
-// counts, and fold the points into a Report. A cancelled context stops
-// between trials and returns the partial report alongside ctx.Err(),
-// so the manager persists the partial aggregates.
+// counts, and fold the points into the characterize Report. A cancelled
+// context stops between trials and returns the partial report alongside
+// ctx.Err(), so the manager persists the partial aggregates.
 func (s *Server) runSweepJob(ctx context.Context, req *server.SubmitRequest, progress func(server.TrialEvent)) (*exp.Report, error) {
 	policy, err := resolvePolicy(req.Policy)
 	if err != nil {
@@ -446,26 +446,19 @@ func (s *Server) runSweepJob(ctx context.Context, req *server.SubmitRequest, pro
 	if len(sweep) == 0 {
 		sweep = defaultSweep
 	}
-	opts := campaignOptions(req)
-	var points []PointStats
-	for i, n := range sweep {
-		if ctx.Err() != nil {
-			break
-		}
-		i, n := i, n
-		pointOpts := append(opts[:len(opts):len(opts)], WithProgress(func(ev ProgressEvent) {
-			progress(server.TrialEvent{
-				Point:        i,
-				Errors:       n,
-				Trial:        ev.Trial,
-				Outcome:      ev.Outcome.String(),
-				Instructions: ev.Instructions,
-				Shard:        ev.Shard,
-			})
-		}))
-		points = append(points, camp.RunPoint(ctx, n, pointOpts...))
-	}
-	report := sweepReport(req, subject, mode, policy, points)
+	tmpl := applyOptions(campaignOptions(req)).point(0)
+	pts := campaign.ErrorPoints(tmpl, sweep)
+	points := camp.c.Sweep(ctx, pts, func(i, trial int, tr campaign.Trial) {
+		progress(server.TrialEvent{
+			Point:        i,
+			Errors:       pts[i].Errors,
+			Trial:        trial,
+			Outcome:      outcomeFromSim(tr.Outcome).String(),
+			Instructions: tr.Instret,
+			Shard:        tr.Shard,
+		})
+	})
+	report := exp.Characterize(camp.c, subject, mode, policy.String(), tmpl, points)
 	// Report cancellation only when it actually curtailed the sweep: a
 	// cancel landing after the final trial must not relabel a complete
 	// run.
@@ -477,96 +470,4 @@ func (s *Server) runSweepJob(ctx context.Context, req *server.SubmitRequest, pro
 		return report, err
 	}
 	return report, nil
-}
-
-// sweepReport folds sweep points into the structured Report the report
-// endpoint serves. Cell text follows the exp renderers' conventions
-// ("-" for NaN); a status column flags early-stopped and cancelled
-// (partial) points.
-func sweepReport(req *server.SubmitRequest, subject, mode string, policy Policy, points []PointStats) *exp.Report {
-	trials := req.Trials
-	if trials <= 0 {
-		trials = 40
-	}
-	seed := req.Seed
-	if seed == 0 {
-		seed = 1
-	}
-	r := &exp.Report{
-		ID:    "characterize",
-		Title: fmt.Sprintf("Characterization of %s, %s, policy %s", subject, mode, policy),
-		Kind:  exp.KindTable,
-		App:   subject,
-		Columns: []exp.Column{
-			{Name: "errors", Unit: "count"},
-			{Name: "trials", Unit: "count"},
-			{Name: "crashes", Unit: "count"},
-			{Name: "timeouts", Unit: "count"},
-			{Name: "detected", Unit: "count"},
-			{Name: "recovered", Unit: "count"},
-			{Name: "completed", Unit: "count"},
-			{Name: "masked", Unit: "count"},
-			{Name: "accepted", Unit: "count"},
-			{Name: "tolerated", Unit: "count"},
-			{Name: "untolerated", Unit: "count"},
-			{Name: "fail", Unit: "%"},
-			{Name: "accept", Unit: "%"},
-			{Name: "detect", Unit: "%"},
-			{Name: "availability", Unit: "%"},
-			{Name: "mean fidelity", Unit: "x"},
-			{Name: "detect latency p50", Unit: "instructions"},
-			{Name: "detect latency p95", Unit: "instructions"},
-			{Name: "recover latency p50", Unit: "instructions"},
-			{Name: "status"},
-		},
-		Trials: trials,
-		Seed:   seed,
-		Policy: policy.String(),
-	}
-	for _, p := range points {
-		status := "ok"
-		switch {
-		case p.Cancelled:
-			status = "cancelled (partial)"
-		case p.EarlyStopped:
-			status = "early stop"
-		}
-		r.Rows = append(r.Rows, []exp.Cell{
-			exp.CellInt(p.Errors),
-			exp.CellInt(p.Trials),
-			exp.CellInt(p.Crashes),
-			exp.CellInt(p.Timeouts),
-			exp.CellInt(p.Detected),
-			exp.CellInt(p.Recovered),
-			exp.CellInt(p.Completed),
-			exp.CellInt(p.Masked),
-			exp.CellInt(p.Accepted),
-			exp.CellInt(p.Tolerated),
-			exp.CellInt(p.Untolerated),
-			exp.CellCI(fmtPct(p.FailPct), p.FailPct, p.FailLowPct, p.FailHighPct),
-			exp.CellNum(fmtPct(p.AcceptPct), p.AcceptPct),
-			exp.CellCI(fmtPct(p.DetectPct), p.DetectPct, p.DetectLowPct, p.DetectHighPct),
-			exp.CellCI(fmtPct(p.AvailabilityPct), p.AvailabilityPct, p.AvailabilityLowPct, p.AvailabilityHighPct),
-			exp.CellNum(fmtFid(p.MeanValue), p.MeanValue),
-			exp.CellInt(int(p.DetectLatencyP50)),
-			exp.CellInt(int(p.DetectLatencyP95)),
-			exp.CellInt(int(p.RecoverLatencyP50)),
-			exp.CellStr(status),
-		})
-	}
-	return r
-}
-
-func fmtPct(v float64) string {
-	if math.IsNaN(v) {
-		return "-"
-	}
-	return fmt.Sprintf("%.1f%%", v)
-}
-
-func fmtFid(v float64) string {
-	if math.IsNaN(v) {
-		return "-"
-	}
-	return fmt.Sprintf("%.3f", v)
 }
