@@ -24,9 +24,7 @@ import (
 // benchOpt keeps benchmark iterations affordable; the shapes are the same
 // as the full runs, just noisier.
 func benchOpt() exp.Options {
-	o := exp.DefaultOptions()
-	o.Trials = 4
-	return o
+	return exp.Options{Point: campaign.Point{MaxTrials: 4}, Policy: core.PolicyControlAddr}
 }
 
 func BenchmarkTable1Registry(b *testing.B) {

@@ -174,6 +174,8 @@ func runCampaigns(ctx context.Context, opt options, stderr io.Writer) ([]*exp.Re
 		MaxTrials: opt.trials,
 		MinTrials: opt.minTrials,
 		StopWidth: opt.ciWidth,
+		Seed:      opt.seed,
+		Workers:   opt.workers,
 	}
 	pts := campaign.ErrorPoints(tmpl, opt.errors)
 	for _, a := range opt.apps {
@@ -196,8 +198,7 @@ func runCampaigns(ctx context.Context, opt options, stderr io.Writer) ([]*exp.Re
 			if mode == "unprotected" {
 				eligible = core.EligibleAll(prog)
 			}
-			eng, err := campaign.New(prog, eligible, sim.Config{Input: a.Input()},
-				campaign.Config{Workers: opt.workers, Seed: opt.seed})
+			eng, err := campaign.New(prog, eligible, sim.Config{Input: a.Input()}, campaign.Config{})
 			if err != nil {
 				return nil, fmt.Errorf("%s (%s): %w", a.Name(), mode, err)
 			}
@@ -220,7 +221,7 @@ func runCampaigns(ctx context.Context, opt options, stderr io.Writer) ([]*exp.Re
 				fmt.Fprintf(stderr, "[%s/%s] errors=%d trials=%d fail=%.1f%% [%.1f, %.1f] accept=%.1f%%%s\n",
 					a.Name(), mode, p.Errors, p.Trials, p.FailPct, p.FailLowPct, p.FailHighPct, p.AcceptPct, note)
 			}
-			reports = append(reports, exp.Characterize(eng, a.Name(), mode, opt.policy.String(), tmpl, points))
+			reports = append(reports, exp.Characterize(a.Name(), mode, opt.policy.String(), tmpl, points))
 		}
 	}
 	return reports, nil

@@ -75,16 +75,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		return usageError(fmt.Sprintf("unknown -format %q (have text, json, csv)", *format))
 	}
 
-	var opts []etap.Option
-	if *trials > 0 {
-		opts = append(opts, etap.WithTrials(*trials))
-	}
-	if *seed != 0 {
-		opts = append(opts, etap.WithSeed(*seed))
-	}
-	if *workers > 0 {
-		opts = append(opts, etap.WithWorkers(*workers))
-	}
+	opts := []etap.Option{etap.WithTrials(*trials), etap.WithSeed(*seed), etap.WithWorkers(*workers)}
 	if *policy != "" {
 		p, ok := etap.ParsePolicy(*policy)
 		if !ok {

@@ -117,6 +117,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	}
 
 	table := newReport(opts, *errorsN)
+	tmpl := campaign.Point{Errors: *errorsN, HiBit: 31, MaxTrials: *trials, Seed: *seed, Workers: *workers}
 	for _, a := range sel {
 		if ctx.Err() != nil {
 			break
@@ -142,8 +143,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 				return fmt.Errorf("%s (%s): %w", a.Name(), pol, err)
 			}
 
-			eng, err := campaign.New(res.Prog, res.PrimaryProtected, sim.Config{Input: a.Input()},
-				campaign.Config{Workers: *workers, Seed: *seed})
+			eng, err := campaign.New(res.Prog, res.PrimaryProtected, sim.Config{Input: a.Input()}, campaign.Config{})
 			if err != nil {
 				return fmt.Errorf("%s (%s): %w", a.Name(), pol, err)
 			}
@@ -169,11 +169,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 
 			start := time.Now()
 			prog := termprog.New(stderr)
-			pt := eng.RunPoint(ctx, campaign.Point{
-				Errors:    *errorsN,
-				HiBit:     31,
-				MaxTrials: *trials,
-			}, func(trial int, tr campaign.Trial) {
+			pt := eng.RunPoint(ctx, tmpl, func(trial int, tr campaign.Trial) {
 				prog.Printf("[%s/%s] trial %d/%d", a.Name(), pol, trial+1, *trials)
 			})
 			prog.Clear()

@@ -49,41 +49,18 @@ import (
 // bit-identical to scoring the (equal) simulated output.
 type ScoreFunc func(golden, output []byte) (value float64, acceptable bool)
 
-// Config parameterises an Engine.
+// Config parameterises an Engine. Everything that specifies a
+// measurement — trial budget, seed, workers — lives on Point.
 type Config struct {
-	// Interval is the initial checkpoint spacing in instructions; 0
-	// selects the sim default (16384, with geometric thinning).
-	Interval uint64
-	// MaxSnapshots bounds the live checkpoint count (see
-	// sim.RecordOptions); 0 selects the default of 128.
-	MaxSnapshots int
-	// Workers is the default worker-pool size for RunPoint; 0 means
-	// GOMAXPROCS. Worker count never affects results.
-	Workers int
 	// ShardSize is the number of trials per shard, the unit of work
 	// distribution, RNG streaming and early-stop decisions. Defaults
 	// to 32.
 	ShardSize int
-	// Seed is the base seed for trial schedules. Defaults to 1.
-	Seed int64
 	// DisablePrune turns off static injection pruning, forcing every
 	// trial through the simulator. Pruning never changes results — the
 	// differential tests pin pruned and unpruned campaigns bit-identical
 	// — so this exists for those tests and for benchmarking the win.
 	DisablePrune bool
-}
-
-func (c Config) withDefaults() Config {
-	if c.Workers <= 0 {
-		c.Workers = runtime.GOMAXPROCS(0)
-	}
-	if c.ShardSize <= 0 {
-		c.ShardSize = 32
-	}
-	if c.Seed == 0 {
-		c.Seed = 1
-	}
-	return c
 }
 
 // Engine runs fault-injection campaigns for one program, input and
@@ -109,8 +86,8 @@ type Engine struct {
 	// or aggregation.
 	DetectClass func(pc int) string
 
-	rec *sim.Recording
-	cfg Config
+	rec       *sim.Recording
+	shardSize int
 
 	// Static injection pruning: the golden pass marks the statically
 	// benign sites (class.Benign), so rec.Marked(o) answers whether
@@ -136,7 +113,9 @@ func New(p *isa.Program, eligible []bool, simCfg sim.Config, cfg Config) (*Engin
 	if !fault.AnyEligible(eligible) {
 		return nil, fmt.Errorf("campaign: eligibility mask marks no instructions; nothing to inject into")
 	}
-	cfg = cfg.withDefaults()
+	if cfg.ShardSize <= 0 {
+		cfg.ShardSize = 32
+	}
 	probe := simCfg
 	probe.Plan = &sim.FaultPlan{Eligible: eligible}
 
@@ -154,7 +133,7 @@ func New(p *isa.Program, eligible []bool, simCfg sim.Config, cfg Config) (*Engin
 		}
 	}
 
-	rec, err := sim.Record(p, probe, sim.RecordOptions{Interval: cfg.Interval, MaxSnapshots: cfg.MaxSnapshots}, benign...)
+	rec, err := sim.Record(p, probe, sim.RecordOptions{}, benign...)
 	if err != nil {
 		return nil, fmt.Errorf("campaign: %w", err)
 	}
@@ -166,23 +145,19 @@ func New(p *isa.Program, eligible []bool, simCfg sim.Config, cfg Config) (*Engin
 		return nil, fmt.Errorf("campaign: no eligible instructions executed; nothing to inject into")
 	}
 	e := &Engine{
-		Prog:     p,
-		Eligible: eligible,
-		Clean:    clean,
-		Budget:   clean.Instret*16 + 10_000_000,
-		rec:      rec,
-		cfg:      cfg,
-		class:    cls,
+		Prog:      p,
+		Eligible:  eligible,
+		Clean:     clean,
+		Budget:    clean.Instret*16 + 10_000_000,
+		rec:       rec,
+		shardSize: cfg.ShardSize,
+		class:     cls,
 	}
 	return e, nil
 }
 
 // PruningEnabled reports whether static injection pruning is active.
 func (e *Engine) PruningEnabled() bool { return e.class != nil }
-
-// Classification exposes the static fault-site triage pruning runs on
-// (nil when pruning is off).
-func (e *Engine) Classification() *analysis.Classification { return e.class }
 
 // StaticPruneFraction is the fraction of the clean run's eligible
 // stream that strikes statically benign sites — the share of the
@@ -283,9 +258,10 @@ type Point struct {
 	// for ±2.5 points), so detection campaigns converge on the number
 	// they exist to measure.
 	StopWidth float64
-	// Seed overrides the engine seed for this point; 0 keeps it.
+	// Seed is the base seed of the point's trial schedule; 0 means 1
+	// (see ScheduleSeed).
 	Seed int64
-	// Workers overrides the engine worker count; 0 keeps it. Never
+	// Workers sizes the point's worker pool; 0 means GOMAXPROCS. Never
 	// affects results.
 	Workers int
 	// MaxRecoveries enables checkpoint-restore recovery for Detected
@@ -374,8 +350,8 @@ func (e *Engine) RunPoint(ctx context.Context, pt Point, observe Observer) Point
 	if pt.MaxTrials <= 0 {
 		pt.MaxTrials = 1
 	}
-	seed := e.PointSeed(pt)
-	shardSize := e.cfg.ShardSize
+	seed := pt.ScheduleSeed()
+	shardSize := e.shardSize
 	if pt.MinTrials <= 0 {
 		pt.MinTrials = 2 * shardSize
 		if half := pt.MaxTrials / 2; half < pt.MinTrials {
@@ -385,7 +361,7 @@ func (e *Engine) RunPoint(ctx context.Context, pt Point, observe Observer) Point
 	numShards := (pt.MaxTrials + shardSize - 1) / shardSize
 	workers := pt.Workers
 	if workers <= 0 {
-		workers = e.cfg.Workers
+		workers = runtime.GOMAXPROCS(0)
 	}
 	if workers > numShards {
 		workers = numShards
@@ -490,13 +466,13 @@ func (e *Engine) RunPoint(ctx context.Context, pt Point, observe Observer) Point
 	return r
 }
 
-// PointSeed is the seed pt's trial schedule derives from: pt.Seed, or
-// the engine seed when the point sets none.
-func (e *Engine) PointSeed(pt Point) int64 {
+// ScheduleSeed is the seed pt's trial schedule derives from: pt.Seed,
+// or 1 when the point sets none.
+func (pt Point) ScheduleSeed() int64 {
 	if pt.Seed != 0 {
 		return pt.Seed
 	}
-	return e.cfg.Seed
+	return 1
 }
 
 // SweepObserver receives every aggregated trial of a sweep, tagged with

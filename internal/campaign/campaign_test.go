@@ -100,8 +100,8 @@ func TestResumeBitIdenticalAllBenchmarks(t *testing.T) {
 // TestRunPointReproducibleAcrossWorkers is the shard-RNG contract: the
 // aggregate of a point is identical no matter how many workers execute it.
 func TestRunPointReproducibleAcrossWorkers(t *testing.T) {
-	e, _, _ := buildEngine(t, "adpcm", campaign.Config{Seed: 7, ShardSize: 8})
-	pt := campaign.Point{Errors: 4, HiBit: 31, MaxTrials: 48}
+	e, _, _ := buildEngine(t, "adpcm", campaign.Config{ShardSize: 8})
+	pt := campaign.Point{Errors: 4, HiBit: 31, MaxTrials: 48, Seed: 7}
 	var results []campaign.PointResult
 	for _, workers := range []int{1, 3, 8} {
 		pt.Workers = workers
@@ -136,10 +136,10 @@ func pointsEqual(a, b campaign.PointResult) bool {
 
 // TestObserverSeesTrialsInOrder checks the deterministic observer stream.
 func TestObserverSeesTrialsInOrder(t *testing.T) {
-	e, _, _ := buildEngine(t, "adpcm", campaign.Config{Seed: 5, ShardSize: 4, Workers: 4})
+	e, _, _ := buildEngine(t, "adpcm", campaign.Config{ShardSize: 4})
 	var indices []int
 	var trials []campaign.Trial
-	r := e.RunPoint(ctx, campaign.Point{Errors: 2, HiBit: 31, MaxTrials: 24}, func(i int, tr campaign.Trial) {
+	r := e.RunPoint(ctx, campaign.Point{Errors: 2, HiBit: 31, MaxTrials: 24, Seed: 5, Workers: 4}, func(i int, tr campaign.Trial) {
 		indices = append(indices, i)
 		trials = append(trials, tr)
 	})
@@ -153,7 +153,7 @@ func TestObserverSeesTrialsInOrder(t *testing.T) {
 	}
 	// Re-running must replay the identical trial stream.
 	var again []campaign.Trial
-	e.RunPoint(ctx, campaign.Point{Errors: 2, HiBit: 31, MaxTrials: 24}, func(i int, tr campaign.Trial) {
+	e.RunPoint(ctx, campaign.Point{Errors: 2, HiBit: 31, MaxTrials: 24, Seed: 5, Workers: 4}, func(i int, tr campaign.Trial) {
 		again = append(again, tr)
 	})
 	for i := range trials {
@@ -171,10 +171,10 @@ func TestObserverSeesTrialsInOrder(t *testing.T) {
 // reachable confidence target stops well short of its trial budget, and
 // deterministically so.
 func TestEarlyStopConverges(t *testing.T) {
-	e, _, _ := buildEngine(t, "adpcm", campaign.Config{Seed: 11, ShardSize: 16})
+	e, _, _ := buildEngine(t, "adpcm", campaign.Config{ShardSize: 16})
 	// Zero errors → zero failures; the Wilson upper bound shrinks like
 	// z²/n, so width < 0.05 needs ~75 trials out of the 2000 budget.
-	pt := campaign.Point{Errors: 0, HiBit: 31, MaxTrials: 2000, StopWidth: 0.05}
+	pt := campaign.Point{Errors: 0, HiBit: 31, MaxTrials: 2000, StopWidth: 0.05, Seed: 11}
 	r1 := e.RunPoint(ctx, pt, nil)
 	if !r1.EarlyStopped {
 		t.Fatalf("point did not stop early: %+v", r1)
@@ -211,9 +211,9 @@ func TestZeroErrorTrialsMatchClean(t *testing.T) {
 // the right point index, and a cancel inside a point ends the sweep
 // there with that point partial and flagged — at any worker count.
 func TestSweepMatchesRunPoint(t *testing.T) {
-	e, _, _ := buildEngine(t, "adpcm", campaign.Config{Seed: 11, ShardSize: 8})
+	e, _, _ := buildEngine(t, "adpcm", campaign.Config{ShardSize: 8})
 	for _, workers := range []int{1, 8} {
-		tmpl := campaign.Point{HiBit: 31, MaxTrials: 24, Workers: workers}
+		tmpl := campaign.Point{HiBit: 31, MaxTrials: 24, Seed: 11, Workers: workers}
 		pts := campaign.ErrorPoints(tmpl, []int{1, 3, 6})
 		type seen struct{ point, trial int }
 		var got []seen
@@ -286,7 +286,7 @@ func TestNewRejectsManagedConfig(t *testing.T) {
 // in-flight trials finish), and the partial aggregate comes back flagged
 // Cancelled with internally consistent accounting.
 func TestCancelledPointReturnsPartialFlagged(t *testing.T) {
-	e, _, _ := buildEngine(t, "adpcm", campaign.Config{Seed: 9, ShardSize: 4})
+	e, _, _ := buildEngine(t, "adpcm", campaign.Config{ShardSize: 4})
 	cctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 
@@ -295,7 +295,7 @@ func TestCancelledPointReturnsPartialFlagged(t *testing.T) {
 	const budget = 1 << 20
 	seen := 0
 	start := time.Now()
-	r := e.RunPoint(cctx, campaign.Point{Errors: 2, HiBit: 31, MaxTrials: budget, Workers: 4},
+	r := e.RunPoint(cctx, campaign.Point{Errors: 2, HiBit: 31, MaxTrials: budget, Seed: 9, Workers: 4},
 		func(i int, tr campaign.Trial) {
 			seen++
 			if seen == 6 {
@@ -344,13 +344,13 @@ func TestCancelledBeforeStartRunsNothing(t *testing.T) {
 // live context is bit-identical to a never-cancelled run at every worker
 // count.
 func TestRerunAfterCancelBitIdentical(t *testing.T) {
-	pt := campaign.Point{Errors: 3, HiBit: 31, MaxTrials: 48}
+	pt := campaign.Point{Errors: 3, HiBit: 31, MaxTrials: 48, Seed: 13}
 
 	// Reference: a fresh engine that never saw a cancellation.
-	ref, _, _ := buildEngine(t, "adpcm", campaign.Config{Seed: 13, ShardSize: 8})
+	ref, _, _ := buildEngine(t, "adpcm", campaign.Config{ShardSize: 8})
 	want := ref.RunPoint(ctx, pt, nil)
 
-	e, _, _ := buildEngine(t, "adpcm", campaign.Config{Seed: 13, ShardSize: 8})
+	e, _, _ := buildEngine(t, "adpcm", campaign.Config{ShardSize: 8})
 	cctx, cancel := context.WithCancel(context.Background())
 	e.RunPoint(cctx, pt, func(i int, tr campaign.Trial) {
 		if i == 2 {

@@ -66,7 +66,7 @@ func TestPruningDifferential(t *testing.T) {
 		name := name
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
-			cfg := campaign.Config{Seed: 11, ShardSize: 8}
+			cfg := campaign.Config{ShardSize: 8}
 			fullCfg := cfg
 			fullCfg.DisablePrune = true
 			full, _, _ := buildEngine(t, name, fullCfg)
@@ -80,7 +80,7 @@ func TestPruningDifferential(t *testing.T) {
 
 			var fullPts, prunedPts []campaign.PointResult
 			for _, errors := range []int{0, 1, 2, 4} {
-				pt := campaign.Point{Errors: errors, HiBit: 31, MaxTrials: 32}
+				pt := campaign.Point{Errors: errors, HiBit: 31, MaxTrials: 32, Seed: 11}
 				fr, pr := diffPoint(t, full, pruned, pt)
 				fullPts = append(fullPts, fr)
 				prunedPts = append(prunedPts, pr)
@@ -88,14 +88,14 @@ func TestPruningDifferential(t *testing.T) {
 			// A recovery-enabled point rides through the same contract:
 			// synthesized all-benign trials are never Detected, so pruning
 			// and recovery must compose without perturbing either stream.
-			fr, pr := diffPoint(t, full, pruned, campaign.Point{Errors: 2, HiBit: 31, MaxTrials: 32, MaxRecoveries: 2})
+			fr, pr := diffPoint(t, full, pruned, campaign.Point{Errors: 2, HiBit: 31, MaxTrials: 32, Seed: 11, MaxRecoveries: 2})
 			fullPts = append(fullPts, fr)
 			prunedPts = append(prunedPts, pr)
 
 			// The serialized reports must be byte-identical too.
-			tmpl := campaign.Point{HiBit: 31, MaxTrials: 32}
-			fullRep := exp.Characterize(full, name, "full", "control+addr", tmpl, fullPts)
-			prunedRep := exp.Characterize(pruned, name, "full", "control+addr", tmpl, prunedPts)
+			tmpl := campaign.Point{HiBit: 31, MaxTrials: 32, Seed: 11}
+			fullRep := exp.Characterize(name, "full", "control+addr", tmpl, fullPts)
+			prunedRep := exp.Characterize(name, "full", "control+addr", tmpl, prunedPts)
 			var fj, pj, fc, pc bytes.Buffer
 			if err := exp.WriteJSON(&fj, []*exp.Report{fullRep}); err != nil {
 				t.Fatal(err)
@@ -162,16 +162,16 @@ func TestPruningDifferentialHardened(t *testing.T) {
 		}
 		return e
 	}
-	full := build(campaign.Config{Seed: 23, ShardSize: 8, DisablePrune: true})
-	pruned := build(campaign.Config{Seed: 23, ShardSize: 8})
+	full := build(campaign.Config{ShardSize: 8, DisablePrune: true})
+	pruned := build(campaign.Config{ShardSize: 8})
 	if !pruned.PruningEnabled() {
 		t.Fatal("hardened program did not enable pruning")
 	}
 	for _, errors := range []int{0, 1, 3} {
-		diffPoint(t, full, pruned, campaign.Point{Errors: errors, HiBit: 31, MaxTrials: 24})
+		diffPoint(t, full, pruned, campaign.Point{Errors: errors, HiBit: 31, MaxTrials: 24, Seed: 23})
 		// With recovery on, some Detected trials become Recovered; pruned
 		// and fully simulated engines must agree on those too.
-		fr, _ := diffPoint(t, full, pruned, campaign.Point{Errors: errors, HiBit: 31, MaxTrials: 24, MaxRecoveries: 2})
+		fr, _ := diffPoint(t, full, pruned, campaign.Point{Errors: errors, HiBit: 31, MaxTrials: 24, Seed: 23, MaxRecoveries: 2})
 		if errors > 0 && fr.Recovered == 0 && fr.Detected == 0 && fr.RecoveryAttempts == 0 {
 			t.Fatalf("errors=%d: hardened recovery point never trapped nor recovered: %+v", errors, fr)
 		}
@@ -220,12 +220,12 @@ func TestZeroDestSitesPrunedWithoutSimulation(t *testing.T) {
 		}
 		return e
 	}
-	full := build(campaign.Config{Seed: 3, ShardSize: 4, DisablePrune: true})
-	pruned := build(campaign.Config{Seed: 3, ShardSize: 4})
+	full := build(campaign.Config{ShardSize: 4, DisablePrune: true})
+	pruned := build(campaign.Config{ShardSize: 4})
 	if !pruned.PruningEnabled() {
 		t.Fatal("pruning disabled on handcrafted program")
 	}
-	pt := campaign.Point{Errors: 1, HiBit: 31, MaxTrials: 8}
+	pt := campaign.Point{Errors: 1, HiBit: 31, MaxTrials: 8, Seed: 3}
 	diffPoint(t, full, pruned, pt)
 	if got := pruned.PrunedTrials(); got != 8 {
 		t.Fatalf("pruned %d of 8 all-benign trials", got)

@@ -82,10 +82,10 @@ func TestRecoveryDifferential(t *testing.T) {
 			// Original (unhardened) program: no trapdet exists, so the
 			// recovery knob must change nothing, bit for bit — which also
 			// pins that MaxRecoveries 0 is exactly today's engine.
-			orig, _, _ := buildEngine(t, name, campaign.Config{Seed: 31, ShardSize: 8})
+			orig, _, _ := buildEngine(t, name, campaign.Config{ShardSize: 8})
 			for _, errors := range errorCounts {
-				off, offTrials := collectPoint(t, orig, campaign.Point{Errors: errors, HiBit: 31, MaxTrials: 16})
-				on, onTrials := collectPoint(t, orig, campaign.Point{Errors: errors, HiBit: 31, MaxTrials: 16, MaxRecoveries: 3})
+				off, offTrials := collectPoint(t, orig, campaign.Point{Errors: errors, HiBit: 31, MaxTrials: 16, Seed: 31})
+				on, onTrials := collectPoint(t, orig, campaign.Point{Errors: errors, HiBit: 31, MaxTrials: 16, Seed: 31, MaxRecoveries: 3})
 				if off.Recovered != 0 || off.RecoveryAttempts != 0 {
 					t.Fatalf("errors=%d: disabled recovery reports recovery work: %+v", errors, off)
 				}
@@ -102,7 +102,7 @@ func TestRecoveryDifferential(t *testing.T) {
 
 			// Hardened program: per-plan differential at the sim.Result
 			// level, where trial output is visible.
-			hard := buildHardened(t, name, campaign.Config{Seed: 33, ShardSize: 8})
+			hard := buildHardened(t, name, campaign.Config{ShardSize: 8})
 			golden := hard.Clean.Output
 			detected, recoveredTotal := 0, 0
 			for _, errors := range errorCounts {
@@ -158,8 +158,8 @@ func TestRecoveryDifferential(t *testing.T) {
 // partition and the recovery aggregates of a hardened campaign point
 // against its own trial stream.
 func TestAvailabilityAccounting(t *testing.T) {
-	e := buildHardened(t, "adpcm", campaign.Config{Seed: 5, ShardSize: 8})
-	pt := campaign.Point{Errors: 1, HiBit: 31, MaxTrials: 64, MaxRecoveries: 3}
+	e := buildHardened(t, "adpcm", campaign.Config{ShardSize: 8})
+	pt := campaign.Point{Errors: 1, HiBit: 31, MaxTrials: 64, Seed: 5, MaxRecoveries: 3}
 	r, trials := collectPoint(t, e, pt)
 
 	recovered, degraded, attempts := 0, 0, 0
@@ -198,7 +198,7 @@ func TestAvailabilityAccounting(t *testing.T) {
 	// Recovery converts detections, never invents or destroys other
 	// outcomes: trial-by-trial, everything that was not Detected without
 	// recovery is untouched with it.
-	off, offTrials := collectPoint(t, e, campaign.Point{Errors: 1, HiBit: 31, MaxTrials: 64})
+	off, offTrials := collectPoint(t, e, campaign.Point{Errors: 1, HiBit: 31, MaxTrials: 64, Seed: 5})
 	if off.Recovered != 0 || off.Degraded != 0 || off.RecoveryAttempts != 0 {
 		t.Fatalf("disabled recovery reports recovery work: %+v", off)
 	}

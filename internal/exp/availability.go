@@ -52,12 +52,11 @@ func buildHardenedEngine(a apps.App, pol core.Policy) (*campaign.Engine, error) 
 // unacceptable completions. The availability column is the tolerated
 // fraction with its Wilson 95% interval.
 func Availability(ctx context.Context, opt Options) (*Report, error) {
-	opt = opt.withDefaults()
 	r := &Report{
 		ID:   "availability",
 		Kind: KindTable,
 		Title: fmt.Sprintf("Availability under single-bit faults on hardened benchmarks (%d trials):\ntolerated = acceptable completion or checkpoint-restore recovery;\ndetected = redundancy check stopped the run unrecovered; untolerated =\ncrash, hang or unacceptable output. Recovery replays up to %d rollbacks.",
-			opt.Trials, availabilityRecoveries),
+			opt.Point.MaxTrials, availabilityRecoveries),
 		Columns: []Column{
 			{Name: "Algorithm"},
 			{Name: "Recovery"},
@@ -68,31 +67,30 @@ func Availability(ctx context.Context, opt Options) (*Report, error) {
 			{Name: "Recovered", Unit: "count"},
 			{Name: "Replay p50", Unit: "instructions"},
 		},
-		Trials: opt.Trials,
-		Seed:   opt.Seed,
+		Trials: opt.Point.MaxTrials,
+		Seed:   opt.Point.ScheduleSeed(),
 		Policy: opt.Policy.String(),
+	}
+	recoveries := []int{0, availabilityRecoveries}
+	pts := make([]campaign.Point, len(recoveries))
+	for i, maxRec := range recoveries {
+		pts[i] = opt.base()
+		pts[i].Errors, pts[i].MaxRecoveries = 1, maxRec
 	}
 	for _, a := range all.Apps() {
 		e, err := buildHardenedEngine(a, opt.Policy)
 		if err != nil {
 			return nil, err
 		}
-		for _, maxRec := range []int{0, availabilityRecoveries} {
-			p := e.RunPoint(ctx, campaign.Point{
-				Errors:        1,
-				HiBit:         31,
-				MaxTrials:     opt.Trials,
-				Seed:          opt.Seed,
-				Workers:       opt.Workers,
-				MaxRecoveries: maxRec,
-			}, opt.Observer)
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
+		points := opt.sweep(ctx, e, pts)
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		for i, p := range points {
 			pcts := func(n int) float64 { return 100 * float64(n) / float64(p.Trials) }
 			mode := "off"
-			if maxRec > 0 {
-				mode = fmt.Sprintf("×%d", maxRec)
+			if recoveries[i] > 0 {
+				mode = fmt.Sprintf("×%d", recoveries[i])
 			}
 			r.Rows = append(r.Rows, []Cell{
 				CellStr(a.Name()),

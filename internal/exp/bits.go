@@ -16,13 +16,12 @@ import (
 // runs show the second. Blowfish and gsm are measured across the four
 // byte lanes.
 func BitSensitivity(ctx context.Context, opt Options) (*Report, error) {
-	opt = opt.withDefaults()
 	const errs = 10
 	r := &Report{
 		ID:   "bits",
 		Kind: KindTable,
 		Title: fmt.Sprintf("Bit-lane sensitivity: %d errors restricted to one byte lane of the\nresult word (%d trials per point)",
-			errs, opt.Trials),
+			errs, opt.Point.MaxTrials),
 		Columns: []Column{
 			{Name: "Algorithm"},
 			{Name: "Protection"},
@@ -30,11 +29,16 @@ func BitSensitivity(ctx context.Context, opt Options) (*Report, error) {
 			{Name: "Fail %", Unit: "%"},
 			{Name: "Mean fidelity"},
 		},
-		Trials: opt.Trials,
-		Seed:   opt.Seed,
+		Trials: opt.Point.MaxTrials,
+		Seed:   opt.Point.ScheduleSeed(),
 		Policy: opt.Policy.String(),
 	}
 	lanes := [][2]uint8{{0, 7}, {8, 15}, {16, 23}, {24, 31}}
+	pts := make([]campaign.Point, len(lanes))
+	for i, lane := range lanes {
+		pts[i] = opt.base()
+		pts[i].Errors, pts[i].LoBit, pts[i].HiBit = errs, lane[0], lane[1]
+	}
 	for _, name := range []string{"blowfish", "gsm"} {
 		a, err := appByNameOrErr(name)
 		if err != nil {
@@ -51,22 +55,15 @@ func BitSensitivity(ctx context.Context, opt Options) (*Report, error) {
 				camp = b.Off
 				mode = "off"
 			}
-			for _, lane := range lanes {
-				p := camp.RunPoint(ctx, campaign.Point{
-					Errors:    errs,
-					LoBit:     lane[0],
-					HiBit:     lane[1],
-					MaxTrials: opt.Trials,
-					Seed:      opt.Seed,
-					Workers:   opt.Workers,
-				}, opt.Observer)
-				if err := ctx.Err(); err != nil {
-					return nil, err
-				}
+			points := opt.sweep(ctx, camp, pts)
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
+			for i, p := range points {
 				r.Rows = append(r.Rows, []Cell{
 					CellStr(name),
 					CellStr(mode),
-					CellStr(fmt.Sprintf("bits %d-%d", lane[0], lane[1])),
+					CellStr(fmt.Sprintf("bits %d-%d", lanes[i][0], lanes[i][1])),
 					CellCI(pct(p.FailPct), p.FailPct, p.FailLowPct, p.FailHighPct),
 					CellNum(num(p.MeanValue), p.MeanValue),
 				})

@@ -11,11 +11,11 @@ import (
 // "characterize" report: one row per point with outcome counts, rates
 // with Wilson intervals, latencies and a status column flagging
 // early-stopped and cancelled (partial) points. tmpl is the sweep's
-// template point: its trial budget, and its seed or else the engine's,
-// are echoed as the report's Trials and Seed. The HTTP service's
+// template point: its trial budget and schedule seed are echoed as the
+// report's Trials and Seed. The HTTP service's
 // benchmark and source jobs and cmd/etcamp both report through it, so
 // the same sweep serializes to the same bytes on either path.
-func Characterize(e *campaign.Engine, subject, mode, policy string, tmpl campaign.Point, points []campaign.PointResult) *Report {
+func Characterize(subject, mode, policy string, tmpl campaign.Point, points []campaign.PointResult) *Report {
 	r := &Report{
 		ID:    "characterize",
 		Title: fmt.Sprintf("Characterization of %s, %s, policy %s", subject, mode, policy),
@@ -45,7 +45,7 @@ func Characterize(e *campaign.Engine, subject, mode, policy string, tmpl campaig
 			{Name: "status"},
 		},
 		Trials: tmpl.MaxTrials,
-		Seed:   e.PointSeed(tmpl),
+		Seed:   tmpl.ScheduleSeed(),
 		Policy: policy,
 	}
 	for _, p := range points {

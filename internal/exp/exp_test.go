@@ -16,11 +16,18 @@ import (
 )
 
 // fastOpt keeps harness tests quick.
-var fastOpt = Options{Trials: 6, Policy: core.PolicyControlAddr, Seed: 3}
+var fastOpt = Options{Point: campaign.Point{MaxTrials: 6, Seed: 3}, Policy: core.PolicyControlAddr}
 
 // goldenOpt is the configuration internal/exp/testdata/*.golden were
-// generated with (against the pre-Report renderers).
-var goldenOpt = Options{Trials: 4, Policy: core.PolicyControlAddr, Seed: 3}
+// generated with (the text goldens against the pre-Report renderers).
+var goldenOpt = Options{Point: campaign.Point{MaxTrials: 4, Seed: 3}, Policy: core.PolicyControlAddr}
+
+// at is opt's base point at n errors.
+func at(opt Options, n int) campaign.Point {
+	pt := opt.base()
+	pt.Errors = n
+	return pt
+}
 
 var ctx = context.Background()
 
@@ -37,7 +44,7 @@ func TestBuildCrossChecksReference(t *testing.T) {
 		t.Fatalf("protected eligible stream (%d) should be smaller than unprotected (%d)",
 			b.On.Clean.EligibleExec, b.Off.Clean.EligibleExec)
 	}
-	if len(b.Golden) == 0 {
+	if len(b.On.Clean.Output) == 0 {
 		t.Fatalf("no golden output")
 	}
 }
@@ -48,8 +55,8 @@ func TestRunPointAggregates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := b.RunPoint(ctx, b.On, 3, fastOpt)
-	if p.Trials != fastOpt.Trials {
+	p := b.On.RunPoint(ctx, at(fastOpt, 3), nil)
+	if p.Trials != fastOpt.Point.MaxTrials {
 		t.Fatalf("trials = %d", p.Trials)
 	}
 	if p.Completed+p.Crashes+p.Timeouts != p.Trials {
@@ -72,7 +79,7 @@ func TestZeroErrorsIsPerfect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := b.RunPoint(ctx, b.On, 0, fastOpt)
+	p := b.On.RunPoint(ctx, at(fastOpt, 0), nil)
 	if p.FailPct != 0 || p.AcceptPct != 100 {
 		t.Fatalf("zero-error point: %+v", p)
 	}
@@ -84,8 +91,8 @@ func TestRunPointDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p1 := b.RunPoint(ctx, b.On, 5, fastOpt)
-	p2 := b.RunPoint(ctx, b.On, 5, fastOpt)
+	p1 := b.On.RunPoint(ctx, at(fastOpt, 5), nil)
+	p2 := b.On.RunPoint(ctx, at(fastOpt, 5), nil)
 	if p1 != p2 {
 		t.Fatalf("points differ: %+v vs %+v", p1, p2)
 	}
@@ -104,8 +111,8 @@ func TestProtectionReducesFailures(t *testing.T) {
 			t.Fatal(err)
 		}
 		errs := 40
-		on := b.RunPoint(ctx, b.On, errs, fastOpt)
-		off := b.RunPoint(ctx, b.Off, errs, fastOpt)
+		on := b.On.RunPoint(ctx, at(fastOpt, errs), nil)
+		off := b.Off.RunPoint(ctx, at(fastOpt, errs), nil)
 		if on.FailPct > off.FailPct {
 			t.Errorf("%s: protected failures %.0f%% exceed unprotected %.0f%%", name, on.FailPct, off.FailPct)
 		}
@@ -163,7 +170,7 @@ func TestFigureRendering(t *testing.T) {
 		t.Skip("short mode")
 	}
 	opt := fastOpt
-	opt.Trials = 3
+	opt.Point.MaxTrials = 3
 	f, err := Figure6(ctx, opt) // ART is the fastest sweep
 	if err != nil {
 		t.Fatal(err)
@@ -220,7 +227,7 @@ func TestMaskingBins(t *testing.T) {
 		t.Skip("short mode")
 	}
 	opt := fastOpt
-	opt.Trials = 10
+	opt.Point.MaxTrials = 10
 	r, err := Masking(ctx, opt)
 	if err != nil {
 		t.Fatal(err)
@@ -255,7 +262,7 @@ func TestAvailabilityExperiment(t *testing.T) {
 		t.Skip("short mode")
 	}
 	opt := fastOpt
-	opt.Trials = 16
+	opt.Point.MaxTrials = 16
 	r, err := Availability(ctx, opt)
 	if err != nil {
 		t.Fatal(err)
@@ -375,6 +382,34 @@ func TestTable2RenderMatchesGolden(t *testing.T) {
 	}
 }
 
+// TestExperimentsGolden pins the JSON report of every registered
+// experiment that no text golden covers, at goldenOpt, byte for byte
+// against testdata/<id>.json.golden. A deliberate output change rewrites
+// those files by hand; there is no update flag.
+func TestExperimentsGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode")
+	}
+	for _, id := range []string{"figure1", "figure2", "figure3", "figure4", "figure5",
+		"ablation", "potential", "bits", "masking", "availability"} {
+		e, ok := ByID(id)
+		if !ok {
+			t.Fatalf("experiment %s not registered", id)
+		}
+		r, err := e.Run(ctx, goldenOpt)
+		if err != nil {
+			t.Fatalf("%s: %v", id, err)
+		}
+		var b bytes.Buffer
+		if err := WriteJSON(&b, []*Report{r}); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := b.String(), golden(t, id+".json.golden"); got != want {
+			t.Errorf("%s JSON diverged from its golden:\n got: %s\nwant: %s", id, got, want)
+		}
+	}
+}
+
 // TestReportJSONAndCSV checks the machine renderings: valid JSON with
 // typed cells, and CSV blocks with CI companion columns.
 func TestReportJSONAndCSV(t *testing.T) {
@@ -382,7 +417,7 @@ func TestReportJSONAndCSV(t *testing.T) {
 		t.Skip("short mode")
 	}
 	opt := fastOpt
-	opt.Trials = 3
+	opt.Point.MaxTrials = 3
 	f, err := Figure6(ctx, opt)
 	if err != nil {
 		t.Fatal(err)
@@ -416,7 +451,7 @@ func TestReportJSONAndCSV(t *testing.T) {
 
 // TestCharacterizeReportJSONAndCSV: a sweep folds into the characterize
 // report with one row per point, echoes the template's budget and seed
-// (the engine's seed when the template sets none), and its CSV rows are
+// (the default seed 1 when the template sets none), and its CSV rows are
 // keyed by report, app and mode.
 func TestCharacterizeReportJSONAndCSV(t *testing.T) {
 	a, _ := all.ByName("adpcm")
@@ -426,7 +461,7 @@ func TestCharacterizeReportJSONAndCSV(t *testing.T) {
 	}
 	tmpl := campaign.Point{HiBit: 31, MaxTrials: 8, Seed: 3}
 	points := b.On.Sweep(ctx, campaign.ErrorPoints(tmpl, []int{0, 10}), nil)
-	rep := Characterize(b.On, "adpcm", "protected", "control+addr", tmpl, points)
+	rep := Characterize("adpcm", "protected", "control+addr", tmpl, points)
 
 	var jb bytes.Buffer
 	if err := WriteJSON(&jb, []*Report{rep}); err != nil {
@@ -462,8 +497,8 @@ func TestCharacterizeReportJSONAndCSV(t *testing.T) {
 	}
 
 	tmpl.Seed = 0
-	if got := Characterize(b.On, "adpcm", "protected", "control+addr", tmpl, points).Seed; got != 1 {
-		t.Fatalf("seedless template reported seed %d, want the engine's 1", got)
+	if got := Characterize("adpcm", "protected", "control+addr", tmpl, points).Seed; got != 1 {
+		t.Fatalf("seedless template reported seed %d, want the default 1", got)
 	}
 }
 

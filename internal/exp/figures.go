@@ -23,8 +23,8 @@ func newFigure(id, title, app, ylabel string, errors []int, opt Options) *figure
 			XLabel:  "errors inserted",
 			YLabel:  ylabel,
 			Columns: []Column{{Name: "errors", Unit: "count"}},
-			Trials:  opt.Trials,
-			Seed:    opt.Seed,
+			Trials:  opt.Point.MaxTrials,
+			Seed:    opt.Point.ScheduleSeed(),
 			Policy:  opt.Policy.String(),
 		},
 		errors: errors,
@@ -88,7 +88,6 @@ func buildFor(name string, opt Options) (*Built, error) {
 // Figure1 — Susan: PSNR of the edge map versus errors inserted, with the
 // static analysis on and off, against the 10 dB threshold.
 func Figure1(ctx context.Context, opt Options) (*Report, error) {
-	opt = opt.withDefaults()
 	b, err := buildFor("susan", opt)
 	if err != nil {
 		return nil, err
@@ -97,8 +96,8 @@ func Figure1(ctx context.Context, opt Options) (*Report, error) {
 		"PSNR of pictures with error (dB)", []int{100, 500, 920, 1100, 1550, 2300}, opt)
 	thr := 10.0
 	f.rep.Threshold = &thr
-	on := b.Sweep(ctx, b.On, f.errors, opt)
-	off := b.Sweep(ctx, b.Off, f.errors, opt)
+	on := opt.sweep(ctx, b.On, campaign.ErrorPoints(opt.base(), f.errors))
+	off := opt.sweep(ctx, b.Off, campaign.ErrorPoints(opt.base(), f.errors))
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -110,7 +109,6 @@ func Figure1(ctx context.Context, opt Options) (*Report, error) {
 // Figure2 — MPEG: percentage of bad frames and failed executions versus
 // errors, protection on.
 func Figure2(ctx context.Context, opt Options) (*Report, error) {
-	opt = opt.withDefaults()
 	b, err := buildFor("mpeg", opt)
 	if err != nil {
 		return nil, err
@@ -119,7 +117,7 @@ func Figure2(ctx context.Context, opt Options) (*Report, error) {
 		"% of bad frames / % failed", []int{10, 50, 100, 150, 300, 500}, opt)
 	thr := 10.0
 	f.rep.Threshold = &thr
-	on := b.Sweep(ctx, b.On, f.errors, opt)
+	on := opt.sweep(ctx, b.On, campaign.ErrorPoints(opt.base(), f.errors))
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -130,14 +128,13 @@ func Figure2(ctx context.Context, opt Options) (*Report, error) {
 
 // Figure3 — MCF: percentage of optimal schedules found and failed runs.
 func Figure3(ctx context.Context, opt Options) (*Report, error) {
-	opt = opt.withDefaults()
 	b, err := buildFor("mcf", opt)
 	if err != nil {
 		return nil, err
 	}
 	f := newFigure("figure3", "Figure 3: MCF results", "mcf",
 		"% optimal schedules / % failed", []int{1, 20, 50, 100, 150, 200, 250, 300}, opt)
-	on := b.Sweep(ctx, b.On, f.errors, opt)
+	on := opt.sweep(ctx, b.On, campaign.ErrorPoints(opt.base(), f.errors))
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -148,14 +145,13 @@ func Figure3(ctx context.Context, opt Options) (*Report, error) {
 
 // Figure4 — Blowfish: percentage of bytes correct and failed executions.
 func Figure4(ctx context.Context, opt Options) (*Report, error) {
-	opt = opt.withDefaults()
 	b, err := buildFor("blowfish", opt)
 	if err != nil {
 		return nil, err
 	}
 	f := newFigure("figure4", "Figure 4: Blowfish results", "blowfish",
 		"% bytes correct / % failed", []int{5, 10, 15, 20, 25, 30, 35, 40}, opt)
-	on := b.Sweep(ctx, b.On, f.errors, opt)
+	on := opt.sweep(ctx, b.On, campaign.ErrorPoints(opt.base(), f.errors))
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -166,14 +162,13 @@ func Figure4(ctx context.Context, opt Options) (*Report, error) {
 
 // Figure5 — GSM: SNR relative to the fault-free decode and failures.
 func Figure5(ctx context.Context, opt Options) (*Report, error) {
-	opt = opt.withDefaults()
 	b, err := buildFor("gsm", opt)
 	if err != nil {
 		return nil, err
 	}
 	f := newFigure("figure5", "Figure 5: GSM results", "gsm",
 		"% SNR from optimal / % failed", []int{5, 10, 15, 20, 25, 30, 35, 40}, opt)
-	on := b.Sweep(ctx, b.On, f.errors, opt)
+	on := opt.sweep(ctx, b.On, campaign.ErrorPoints(opt.base(), f.errors))
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -184,14 +179,13 @@ func Figure5(ctx context.Context, opt Options) (*Report, error) {
 
 // Figure6 — ART: percentage of images recognized and failures.
 func Figure6(ctx context.Context, opt Options) (*Report, error) {
-	opt = opt.withDefaults()
 	b, err := buildFor("art", opt)
 	if err != nil {
 		return nil, err
 	}
 	f := newFigure("figure6", "Figure 6: ART results", "art",
 		"% images recognized / % failed", []int{1, 2, 3, 4}, opt)
-	on := b.Sweep(ctx, b.On, f.errors, opt)
+	on := opt.sweep(ctx, b.On, campaign.ErrorPoints(opt.base(), f.errors))
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}

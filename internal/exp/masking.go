@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"etap/internal/apps/all"
-	"etap/internal/campaign"
 )
 
 // Masking measures the paper's framing premise: the introduction positions
@@ -22,12 +21,11 @@ import (
 //	degraded    — output below the fidelity threshold;
 //	catastrophic — crash or infinite run.
 func Masking(ctx context.Context, opt Options) (*Report, error) {
-	opt = opt.withDefaults()
 	r := &Report{
 		ID:   "masking",
 		Kind: KindTable,
 		Title: fmt.Sprintf("Single-error outcome distribution under protection (%d trials):\nmasked = output identical (the AVF bin); tolerated = differs but passes\nthe fidelity threshold (the paper's added tolerance); degraded = below\nthreshold; catastrophic = crash/hang",
-			opt.Trials),
+			opt.Point.MaxTrials),
 		Columns: []Column{
 			{Name: "Algorithm"},
 			{Name: "Masked", Unit: "%"},
@@ -35,10 +33,12 @@ func Masking(ctx context.Context, opt Options) (*Report, error) {
 			{Name: "Degraded", Unit: "%"},
 			{Name: "Catastrophic", Unit: "%"},
 		},
-		Trials: opt.Trials,
-		Seed:   opt.Seed,
+		Trials: opt.Point.MaxTrials,
+		Seed:   opt.Point.ScheduleSeed(),
 		Policy: opt.Policy.String(),
 	}
+	pt := opt.base()
+	pt.Errors = 1
 	for _, a := range all.Apps() {
 		b, err := Build(a, opt.Policy)
 		if err != nil {
@@ -47,13 +47,7 @@ func Masking(ctx context.Context, opt Options) (*Report, error) {
 		// The engine's point aggregation already separates the four bins:
 		// masked (bit-identical output), accepted ⊇ masked (passes the
 		// threshold) and catastrophic (crash/hang).
-		p := b.On.RunPoint(ctx, campaign.Point{
-			Errors:    1,
-			HiBit:     31,
-			MaxTrials: opt.Trials,
-			Seed:      opt.Seed,
-			Workers:   opt.Workers,
-		}, opt.Observer)
+		p := b.On.RunPoint(ctx, pt, opt.Observer)
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}

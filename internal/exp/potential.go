@@ -20,7 +20,6 @@ import (
 // analysis runs over every benchmark, under both the paper's control-only
 // slice and the address-protecting policy.
 func Potential(ctx context.Context, opt Options) (*Report, error) {
-	opt = opt.withDefaults()
 	r := &Report{
 		ID:    "potential",
 		Kind:  KindTable,

@@ -7,6 +7,7 @@ import (
 
 	"etap/internal/apps"
 	"etap/internal/apps/all"
+	"etap/internal/campaign"
 	"etap/internal/core"
 )
 
@@ -47,12 +48,11 @@ var table2Errors = map[string][]int{
 // control data. The failure-rate cells carry Wilson 95% bounds in the
 // JSON/CSV renderings.
 func Table2(ctx context.Context, opt Options) (*Report, error) {
-	opt = opt.withDefaults()
 	r := &Report{
 		ID:   "table2",
 		Kind: KindTable,
 		Title: fmt.Sprintf("Table 2: %% catastrophic failures (crash or infinite run) with and without\nprotecting control data (%d trials per point)",
-			opt.Trials),
+			opt.Point.MaxTrials),
 		Columns: []Column{
 			{Name: "Algorithm"},
 			{Name: "Errors", Unit: "count"},
@@ -60,8 +60,8 @@ func Table2(ctx context.Context, opt Options) (*Report, error) {
 			{Name: "Fail (protected)", Unit: "%"},
 			{Name: "Fail (unprotected)", Unit: "%"},
 		},
-		Trials: opt.Trials,
-		Seed:   opt.Seed,
+		Trials: opt.Point.MaxTrials,
+		Seed:   opt.Point.ScheduleSeed(),
 		Policy: opt.Policy.String(),
 	}
 	for _, a := range all.Apps() {
@@ -69,19 +69,21 @@ func Table2(ctx context.Context, opt Options) (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		for _, n := range table2Errors[a.Name()] {
-			on := b.RunPoint(ctx, b.On, n, opt)
-			off := b.RunPoint(ctx, b.Off, n, opt)
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			instr := b.On.Clean.Instret
+		errs := table2Errors[a.Name()]
+		pts := campaign.ErrorPoints(opt.base(), errs)
+		on := opt.sweep(ctx, b.On, pts)
+		off := opt.sweep(ctx, b.Off, pts)
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		instr := b.On.Clean.Instret
+		for i, n := range errs {
 			r.Rows = append(r.Rows, []Cell{
 				CellStr(a.Name()),
 				CellInt(n),
 				CellNum(fmt.Sprintf("%dM", instr/1_000_000), float64(instr)),
-				CellCI(pct(on.FailPct), on.FailPct, on.FailLowPct, on.FailHighPct),
-				CellCI(pct(off.FailPct), off.FailPct, off.FailLowPct, off.FailHighPct),
+				CellCI(pct(on[i].FailPct), on[i].FailPct, on[i].FailLowPct, on[i].FailHighPct),
+				CellCI(pct(off[i].FailPct), off[i].FailPct, off[i].FailLowPct, off[i].FailHighPct),
 			})
 		}
 	}
@@ -92,7 +94,6 @@ func Table2(ctx context.Context, opt Options) (*Report, error) {
 // fractions under the analysis — measured on clean runs (no injection
 // involved).
 func Table3(ctx context.Context, opt Options) (*Report, error) {
-	opt = opt.withDefaults()
 	r := &Report{
 		ID:   "table3",
 		Kind: KindTable,
@@ -105,7 +106,7 @@ func Table3(ctx context.Context, opt Options) (*Report, error) {
 			{Name: "% tagged (static)", Unit: "%"},
 			{Name: "% arith (dynamic)", Unit: "%"},
 		},
-		Seed:   opt.Seed,
+		Seed:   opt.Point.ScheduleSeed(),
 		Policy: opt.Policy.String(),
 	}
 	for _, a := range all.Apps() {
@@ -137,12 +138,11 @@ func Table3(ctx context.Context, opt Options) (*Report, error) {
 // policies at a fixed error count: the coverage/failure trade-off of the
 // analysis policies.
 func PolicyAblation(ctx context.Context, opt Options) (*Report, error) {
-	opt = opt.withDefaults()
 	r := &Report{
 		ID:   "ablation",
 		Kind: KindTable,
 		Title: fmt.Sprintf("Policy ablation: coverage/failure trade-off of the analysis policies\n(%d trials per point, protection on)",
-			opt.Trials),
+			opt.Point.MaxTrials),
 		Columns: []Column{
 			{Name: "Algorithm"},
 			{Name: "Policy"},
@@ -150,8 +150,8 @@ func PolicyAblation(ctx context.Context, opt Options) (*Report, error) {
 			{Name: "% low-rel (dynamic)", Unit: "%"},
 			{Name: "Fail %", Unit: "%"},
 		},
-		Trials: opt.Trials,
-		Seed:   opt.Seed,
+		Trials: opt.Point.MaxTrials,
+		Seed:   opt.Point.ScheduleSeed(),
 	}
 	errorsFor := map[string]int{"susan": 200, "blowfish": 20, "mcf": 40}
 	for _, name := range []string{"susan", "blowfish", "mcf"} {
@@ -164,7 +164,9 @@ func PolicyAblation(ctx context.Context, opt Options) (*Report, error) {
 			if err != nil {
 				return nil, err
 			}
-			p := b.RunPoint(ctx, b.On, errorsFor[name], opt)
+			pt := opt.base()
+			pt.Errors = errorsFor[name]
+			p := b.On.RunPoint(ctx, pt, opt.Observer)
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}

@@ -328,76 +328,100 @@ func TestSourceJobSweepReport(t *testing.T) {
 
 // TestSSEMonotonicTrials: the event stream replays from the start and
 // delivers strictly increasing sequence numbers, one trial event per
-// executed trial, ending with a terminal state event.
+// executed trial, point by point in order with trials 0..n-1 within each
+// point, ending with a terminal state event. The experiment job pins the
+// service's point inference for registry runs: bits measures 16 points
+// (2 apps x 2 protection modes x 4 lanes), and each point restarts its
+// trial indices at 0.
 func TestSSEMonotonicTrials(t *testing.T) {
 	_, hs := newTestServer(t)
-	const trials, points = 48, 2
-	id := submitJob(t, hs.URL, fmt.Sprintf(
-		`{"source":%s,"input":%s,"errors":[1,2],"trials":%d,"workers":2}`,
-		jsonStr(fastSource), jsonStr(fastInput()), trials))
+	bitsErrors := make([]int, 16)
+	for i := range bitsErrors {
+		bitsErrors[i] = -1
+	}
+	for _, tc := range []struct {
+		name   string
+		body   string
+		trials int
+		errors []int // per point, in order
+	}{
+		{"source", fmt.Sprintf(`{"source":%s,"input":%s,"errors":[1,2],"trials":48,"workers":2}`,
+			jsonStr(fastSource), jsonStr(fastInput())), 48, []int{1, 2}},
+		{"experiment", `{"experiment":"bits","trials":2}`, 2, bitsErrors},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			id := submitJob(t, hs.URL, tc.body)
+			resp, err := http.Get(hs.URL + "/api/v1/jobs/" + id + "/events")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resp.Body.Close()
+			if ct := resp.Header.Get("Content-Type"); ct != "text/event-stream" {
+				t.Fatalf("events content type %q", ct)
+			}
 
-	resp, err := http.Get(hs.URL + "/api/v1/jobs/" + id + "/events")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if ct := resp.Header.Get("Content-Type"); ct != "text/event-stream" {
-		t.Fatalf("events content type %q", ct)
-	}
+			var events []sseEvent
+			if err := parseSSE(resp.Body, func(ev sseEvent) bool {
+				events = append(events, ev)
+				return true
+			}); err != nil {
+				t.Fatal(err)
+			}
+			if len(events) == 0 {
+				t.Fatal("no events")
+			}
 
-	var events []sseEvent
-	if err := parseSSE(resp.Body, func(ev sseEvent) bool {
-		events = append(events, ev)
-		return true
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if len(events) == 0 {
-		t.Fatal("no events")
-	}
-
-	lastSeq := -1
-	trialCount := 0
-	lastTrialPerPoint := map[int]int{}
-	for _, ev := range events {
-		if ev.id <= lastSeq {
-			t.Fatalf("seq went %d -> %d (not increasing)", lastSeq, ev.id)
-		}
-		lastSeq = ev.id
-		switch ev.name {
-		case "trial":
-			var tr struct {
-				Seq     int    `json:"seq"`
-				Point   int    `json:"point"`
-				Errors  int    `json:"errors"`
-				Trial   int    `json:"trial"`
-				Outcome string `json:"outcome"`
+			lastSeq := -1
+			trialCount := 0
+			point, nextTrial := 0, 0
+			for _, ev := range events {
+				if ev.id <= lastSeq {
+					t.Fatalf("seq went %d -> %d (not increasing)", lastSeq, ev.id)
+				}
+				lastSeq = ev.id
+				switch ev.name {
+				case "trial":
+					var tr struct {
+						Seq     int    `json:"seq"`
+						Point   int    `json:"point"`
+						Errors  int    `json:"errors"`
+						Trial   int    `json:"trial"`
+						Outcome string `json:"outcome"`
+					}
+					if err := json.Unmarshal([]byte(ev.data), &tr); err != nil {
+						t.Fatalf("trial event does not parse: %v: %s", err, ev.data)
+					}
+					if tr.Seq != ev.id {
+						t.Fatalf("payload seq %d != frame id %d", tr.Seq, ev.id)
+					}
+					if nextTrial == tc.trials {
+						point, nextTrial = point+1, 0
+					}
+					if tr.Point != point || tr.Trial != nextTrial {
+						t.Fatalf("event %d is point %d trial %d, want point %d trial %d",
+							trialCount, tr.Point, tr.Trial, point, nextTrial)
+					}
+					if point >= len(tc.errors) || tr.Errors != tc.errors[point] {
+						t.Fatalf("point %d reports errors %d, want %v", tr.Point, tr.Errors, tc.errors)
+					}
+					nextTrial++
+					if tr.Outcome == "" {
+						t.Fatalf("trial event without outcome: %s", ev.data)
+					}
+					trialCount++
+				case "state":
+				default:
+					t.Fatalf("unknown event %q", ev.name)
+				}
 			}
-			if err := json.Unmarshal([]byte(ev.data), &tr); err != nil {
-				t.Fatalf("trial event does not parse: %v: %s", err, ev.data)
+			if want := tc.trials * len(tc.errors); trialCount != want {
+				t.Fatalf("streamed %d trial events, want %d", trialCount, want)
 			}
-			if tr.Seq != ev.id {
-				t.Fatalf("payload seq %d != frame id %d", tr.Seq, ev.id)
+			last := events[len(events)-1]
+			if last.name != "state" || !strings.Contains(last.data, `"done"`) {
+				t.Fatalf("stream did not end with a done state event: %s %s", last.name, last.data)
 			}
-			if last, ok := lastTrialPerPoint[tr.Point]; ok && tr.Trial != last+1 {
-				t.Fatalf("point %d trials went %d -> %d", tr.Point, last, tr.Trial)
-			}
-			lastTrialPerPoint[tr.Point] = tr.Trial
-			if tr.Outcome == "" {
-				t.Fatalf("trial event without outcome: %s", ev.data)
-			}
-			trialCount++
-		case "state":
-		default:
-			t.Fatalf("unknown event %q", ev.name)
-		}
-	}
-	if want := trials * points; trialCount != want {
-		t.Fatalf("streamed %d trial events, want %d", trialCount, want)
-	}
-	last := events[len(events)-1]
-	if last.name != "state" || !strings.Contains(last.data, `"done"`) {
-		t.Fatalf("stream did not end with a done state event: %s %s", last.name, last.data)
+		})
 	}
 }
 

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -231,6 +233,99 @@ func TestFileStoreSnapshotPlusJournalReplay(t *testing.T) {
 		t.Fatalf("reloaded table: %+v", jobs)
 	}
 }
+
+// TestFileStoreTruncatedAtEveryOffset cuts the journal and the
+// snapshot at every byte offset. A cut journal must replay exactly the
+// records whose newline made it to disk, and trim the torn rest; a cut
+// snapshot must fail the load, never yield a partial table.
+func TestFileStoreTruncatedAtEveryOffset(t *testing.T) {
+	dir := t.TempDir()
+	src := filepath.Join(dir, "src.json")
+	f := NewFileStore(src)
+	withReport := storedJob("c", StateDone, 9)
+	withReport.Report = json.RawMessage(`{"id":"characterize","rows":[[{"text":"ok"}]]}`)
+	entries := []journalEntry{
+		{Put: ptr(storedJob("a", StateQueued, 0))},
+		{Put: ptr(storedJob("b", StateRunning, 4))},
+		{Put: ptr(storedJob("a", StateDone, 7))},
+		{Put: &withReport},
+		{Delete: "b"},
+	}
+	for _, e := range entries {
+		var err error
+		if e.Put != nil {
+			err = f.SaveJob(*e.Put)
+		} else {
+			err = f.DeleteJob(e.Delete)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	journal, err := os.ReadFile(src + ".journal")
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	path := filepath.Join(dir, "jobs.json")
+	for cut := 0; cut <= len(journal); cut++ {
+		if err := os.WriteFile(path+".journal", journal[:cut], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		jobs, err := NewFileStore(path).Load()
+		if err != nil {
+			t.Fatalf("journal cut at %d/%d: %v", cut, len(journal), err)
+		}
+		// The records whose newline lies inside the cut, replayed in
+		// order, are the table Load must return.
+		complete := bytes.Count(journal[:cut], []byte{'\n'})
+		var want []PersistedJob
+		for _, e := range entries[:complete] {
+			i := slices.IndexFunc(want, func(j PersistedJob) bool {
+				return j.ID == e.Delete || (e.Put != nil && j.ID == e.Put.ID)
+			})
+			switch {
+			case e.Put != nil && i >= 0:
+				want[i] = *e.Put
+			case e.Put != nil:
+				want = append(want, *e.Put)
+			case i >= 0:
+				want = slices.Delete(want, i, i+1)
+			}
+		}
+		if !reflect.DeepEqual(jobs, want) {
+			t.Fatalf("journal cut at %d/%d: loaded %+v, want %+v", cut, len(journal), jobs, want)
+		}
+		kept, err := os.ReadFile(path + ".journal")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if end := bytes.LastIndexByte(journal[:cut], '\n') + 1; !bytes.Equal(kept, journal[:end]) {
+			t.Fatalf("journal cut at %d/%d: torn tail not trimmed to the last record (%d bytes kept, want %d)",
+				cut, len(journal), len(kept), end)
+		}
+	}
+
+	if err := f.Save([]PersistedJob{storedJob("a", StateDone, 7), withReport}); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := os.ReadFile(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	os.Remove(path + ".journal")
+	doc := bytes.TrimRight(snap, "\n")
+	for cut := 0; cut < len(doc); cut++ {
+		if err := os.WriteFile(path, snap[:cut], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if jobs, err := NewFileStore(path).Load(); err == nil {
+			t.Fatalf("snapshot cut at %d/%d loaded without error: %+v", cut, len(doc), jobs)
+		}
+	}
+}
+
+func ptr[T any](v T) *T { return &v }
 
 // benchTable builds a job table shaped like a busy server: size
 // finished jobs, each carrying a report of reportBytes raw JSON.

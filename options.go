@@ -28,15 +28,11 @@ type ProgressEvent struct {
 // that do not apply to a call are ignored.
 type Option func(*runConfig)
 
-// runConfig is the collapsed option set behind the Option functions; it
-// replaces the former etap.PointOptions/exp.Options duplication.
+// runConfig is the collapsed option set behind the Option functions:
+// the campaign knobs land on a template campaign.Point, the only place
+// a point is specified.
 type runConfig struct {
-	trials    int
-	minTrials int
-	seed      int64
-	workers   int
-	stopCI    float64
-	recovery  int
+	pt        campaign.Point
 	policy    Policy
 	policySet bool
 	progress  func(ProgressEvent)
@@ -53,25 +49,25 @@ func applyOptions(opts []Option) runConfig {
 // WithTrials sets the trial budget per measurement point. Zero or
 // negative keeps the default (40).
 func WithTrials(n int) Option {
-	return func(c *runConfig) { c.trials = n }
+	return func(c *runConfig) { c.pt.MaxTrials = n }
 }
 
 // WithMinTrials sets the trial floor before WithStopCI early stopping may
 // trigger; 0 picks a default scaled to the budget.
 func WithMinTrials(n int) Option {
-	return func(c *runConfig) { c.minTrials = n }
+	return func(c *runConfig) { c.pt.MinTrials = n }
 }
 
 // WithSeed makes every injection schedule reproducible in s. Defaults
 // to 1.
 func WithSeed(s int64) Option {
-	return func(c *runConfig) { c.seed = s }
+	return func(c *runConfig) { c.pt.Seed = s }
 }
 
 // WithWorkers sizes the trial worker pool; 0 means GOMAXPROCS. Worker
 // count never changes results.
 func WithWorkers(n int) Option {
-	return func(c *runConfig) { c.workers = n }
+	return func(c *runConfig) { c.pt.Workers = n }
 }
 
 // WithStopCI stops a point early once every reported Wilson 95%
@@ -79,7 +75,7 @@ func WithWorkers(n int) Option {
 // systems, the detection rate — is narrower than width (e.g. 0.05 for
 // ±2.5 points), but not before the WithMinTrials floor.
 func WithStopCI(width float64) Option {
-	return func(c *runConfig) { c.stopCI = width }
+	return func(c *runConfig) { c.pt.StopWidth = width }
 }
 
 // WithRecovery lets a detected trial roll back to the latest checkpoint
@@ -91,7 +87,7 @@ func WithStopCI(width float64) Option {
 // trial Detected. Zero or negative keeps recovery off — detection stays
 // terminal and results are bit-identical to campaigns without the option.
 func WithRecovery(maxAttempts int) Option {
-	return func(c *runConfig) { c.recovery = maxAttempts }
+	return func(c *runConfig) { c.pt.MaxRecoveries = maxAttempts }
 }
 
 // WithPolicy selects the analysis policy for experiment runs (campaign
@@ -125,40 +121,32 @@ func (c runConfig) observer() campaign.Observer {
 	}
 }
 
-// point assembles the engine-level point spec for a campaign call.
+// point is the engine-level point spec for a campaign call at the given
+// error count, over the full result word. It holds the trial default
+// (40); the engine defaults the seed and the worker count.
 func (c runConfig) point(errors int) campaign.Point {
-	trials := c.trials
-	if trials <= 0 {
-		trials = 40
+	pt := c.pt
+	pt.Errors, pt.HiBit = errors, 31
+	if pt.MaxTrials <= 0 {
+		pt.MaxTrials = 40
 	}
-	maxRec := c.recovery
-	if maxRec < 0 {
-		maxRec = 0
+	if pt.MaxRecoveries < 0 {
+		pt.MaxRecoveries = 0
 	}
-	return campaign.Point{
-		Errors:        errors,
-		HiBit:         31,
-		MaxTrials:     trials,
-		MinTrials:     c.minTrials,
-		StopWidth:     c.stopCI,
-		Seed:          c.seed,
-		Workers:       c.workers,
-		MaxRecoveries: maxRec,
-	}
+	return pt
 }
 
 // expOptions assembles the experiment-harness options for a registry
-// run.
+// run. Experiments take only the trial budget, seed and workers from the
+// template point.
 func (c runConfig) expOptions() exp.Options {
 	policy := PolicyControlAddr
 	if c.policySet {
 		policy = c.policy
 	}
 	return exp.Options{
-		Trials:   c.trials,
+		Point:    c.point(0),
 		Policy:   toCore(policy),
-		Workers:  c.workers,
-		Seed:     c.seed,
 		Observer: c.observer(),
 	}
 }

@@ -319,28 +319,17 @@ func (s *Server) runJob(ctx context.Context, req *server.SubmitRequest, progress
 	return s.runSweepJob(ctx, req, progress)
 }
 
-// campaignOptions translates the request's campaign knobs.
+// campaignOptions translates the request's campaign knobs; each option
+// treats the request's zero value as its default.
 func campaignOptions(req *server.SubmitRequest) []Option {
-	var opts []Option
-	if req.Trials > 0 {
-		opts = append(opts, WithTrials(req.Trials))
+	return []Option{
+		WithTrials(req.Trials),
+		WithMinTrials(req.MinTrials),
+		WithSeed(req.Seed),
+		WithWorkers(req.Workers),
+		WithStopCI(req.StopCI),
+		WithRecovery(req.Recovery),
 	}
-	if req.MinTrials > 0 {
-		opts = append(opts, WithMinTrials(req.MinTrials))
-	}
-	if req.Seed != 0 {
-		opts = append(opts, WithSeed(req.Seed))
-	}
-	if req.Workers > 0 {
-		opts = append(opts, WithWorkers(req.Workers))
-	}
-	if req.StopCI > 0 {
-		opts = append(opts, WithStopCI(req.StopCI))
-	}
-	if req.Recovery > 0 {
-		opts = append(opts, WithRecovery(req.Recovery))
-	}
-	return opts
 }
 
 // runExperimentJob replays one registered experiment. The report is the
@@ -458,7 +447,7 @@ func (s *Server) runSweepJob(ctx context.Context, req *server.SubmitRequest, pro
 			Shard:        tr.Shard,
 		})
 	})
-	report := exp.Characterize(camp.c, subject, mode, policy.String(), tmpl, points)
+	report := exp.Characterize(subject, mode, policy.String(), tmpl, points)
 	// Report cancellation only when it actually curtailed the sweep: a
 	// cancel landing after the final trial must not relabel a complete
 	// run.
