@@ -444,7 +444,7 @@ func (c *Campaign) Run(n int, seed int64) RunResult {
 type PointStats = campaign.PointResult
 
 // RunPoint executes up to WithTrials independent trials with the given
-// error count, sharded across the worker pool, and aggregates them
+// error count, handed one by one to the worker pool, and aggregates them
 // online. Results depend only on the options, never on scheduling or
 // worker count. Cancelling ctx stops the point between trials and
 // returns the partial aggregate with Cancelled set.
@@ -453,15 +453,11 @@ func (c *Campaign) RunPoint(ctx context.Context, errors int, opts ...Option) Poi
 	return c.c.RunPoint(ctx, cfg.point(errors), cfg.observer())
 }
 
-// Sweep runs RunPoint for each error count, stopping early (with the
-// points so far) when ctx is cancelled.
+// Sweep runs one point per error count on one worker pool. Cancelling
+// ctx ends the list at the interrupted point, flagged Cancelled.
 func (c *Campaign) Sweep(ctx context.Context, errorCounts []int, opts ...Option) []PointStats {
 	cfg := applyOptions(opts)
-	var observe campaign.SweepObserver
-	if obs := cfg.observer(); obs != nil {
-		observe = func(_, trial int, tr campaign.Trial) { obs(trial, tr) }
-	}
-	return c.c.Sweep(ctx, campaign.ErrorPoints(cfg.point(0), errorCounts), observe)
+	return c.c.Sweep(ctx, campaign.ErrorPoints(cfg.point(0), errorCounts), cfg.observer().ForSweep())
 }
 
 // Benchmark is one of the paper's Table 1 applications.

@@ -8,16 +8,16 @@
 //     Checkpoint memory is shared copy-on-write, so trials are cheap to
 //     fork and bit-identical to from-scratch runs.
 //
-//   - Sharded execution: trials are grouped into fixed-size shards, each
-//     with its own deterministic RNG stream derived from (seed, point,
-//     shard index). Workers pull whole shards, and the aggregator folds
-//     shard results back in shard order, so a campaign's numbers are
+//   - Sharded trial streams: trials are grouped into fixed-size shards,
+//     each with its own deterministic RNG stream derived from (seed,
+//     point, shard index). Workers pull single trials, and each point's
+//     collector folds them back in order, so a campaign's numbers are
 //     reproducible for any worker count.
 //
 //   - Streaming aggregation: outcome counters and fidelity sums update
-//     online as shards complete, with Wilson confidence intervals on the
-//     catastrophic-failure rate; a point can stop early once its interval
-//     is narrower than a target width.
+//     online, with Wilson confidence intervals on the catastrophic-failure
+//     rate; a point can stop early, after any whole shard, once its
+//     interval is narrower than a target width.
 //
 // docs/CAMPAIGN.md describes the architecture and the reasoning behind
 // the checkpoint-interval and early-stop choices.
@@ -52,9 +52,9 @@ type ScoreFunc func(golden, output []byte) (value float64, acceptable bool)
 // Config parameterises an Engine. Everything that specifies a
 // measurement — trial budget, seed, workers — lives on Point.
 type Config struct {
-	// ShardSize is the number of trials per shard, the unit of work
-	// distribution, RNG streaming and early-stop decisions. Defaults
-	// to 32.
+	// ShardSize is the number of trials per shard, the unit of RNG
+	// streaming and early-stop decisions (a trial is the unit of
+	// dispatch). Defaults to 32.
 	ShardSize int
 	// DisablePrune turns off static injection pruning, forcing every
 	// trial through the simulator. Pruning never changes results — the
@@ -261,8 +261,9 @@ type Point struct {
 	// Seed is the base seed of the point's trial schedule; 0 means 1
 	// (see ScheduleSeed).
 	Seed int64
-	// Workers sizes the point's worker pool; 0 means GOMAXPROCS. Never
-	// affects results.
+	// Workers sizes the worker pool; 0 means GOMAXPROCS. A sweep runs
+	// one pool, sized by the largest Workers of its points. Never affects
+	// results.
 	Workers int
 	// MaxRecoveries enables checkpoint-restore recovery for Detected
 	// trials: a trapdet rolls the trial back to the latest checkpoint
@@ -288,8 +289,9 @@ type Trial struct {
 	Masked   bool
 	Instret  uint64
 	Injected int
-	// Shard is the index of the shard that executed the trial. The
-	// trial→shard mapping depends only on the point, never on scheduling.
+	// Shard is the index of the shard whose RNG stream drew the trial.
+	// The trial→shard mapping depends only on the point, never on
+	// scheduling.
 	Shard int
 	// DetectLatency is the injection→trapdet distance in retired
 	// instructions; HasLatency reports whether the trial was Detected with
@@ -313,157 +315,23 @@ type Trial struct {
 // a slow observer backpressures aggregation.
 type Observer func(trial int, tr Trial)
 
-// RunPoint executes up to pt.MaxTrials trials, aggregating online and
-// early-stopping once the failure-rate confidence interval is tight
-// enough. observe, when non-nil, receives every aggregated trial in
-// deterministic order (it runs on the collector goroutine; no locking
-// needed). Results are identical for any worker count.
-//
-// Cancelling ctx stops the point between trials: in-flight trials finish
-// (a trial is at most one budgeted simulation), no new trials start, and
-// the partial aggregate comes back with Cancelled set. A cancelled
-// point's numbers depend on how far work had progressed and are NOT
-// reproducible; re-running the same point under a live context is
-// bit-identical to a never-cancelled run at every worker count.
+// ForSweep adapts o to a SweepObserver that ignores the point index.
+func (o Observer) ForSweep() SweepObserver {
+	if o == nil {
+		return nil
+	}
+	return func(_, trial int, tr Trial) { o(trial, tr) }
+}
+
+// RunPoint runs pt as a one-point Sweep. Cancelling ctx returns the
+// partial aggregate with Cancelled set, also when no trial had finished.
+// A cancelled point's numbers are not reproducible; an uncancelled re-run
+// is bit-identical to a never-cancelled run at every worker count.
 func (e *Engine) RunPoint(ctx context.Context, pt Point, observe Observer) PointResult {
-	if ctx == nil {
-		ctx = context.Background()
+	if rs := e.Sweep(ctx, []Point{pt}, observe.ForSweep()); len(rs) > 0 {
+		return rs[0]
 	}
-	campPoints.Inc()
-	// Tracing is observational only: spans nest via ctx (HTTP → job →
-	// point → shard) and record what ran, never influencing RNG streams,
-	// scheduling or aggregation (pinned by the root determinism guard).
-	// With no tracer on ctx every span call is a nil no-op.
-	ctx, pointSpan := obstrace.Start(ctx, "campaign.point",
-		obstrace.Int("errors", int64(pt.Errors)),
-		obstrace.Int("max_trials", int64(pt.MaxTrials)))
-	defer pointSpan.End()
-	// Clamp the lane the same way plan generation will, so reported
-	// lanes, shard seeds and the actual flips all agree.
-	lo, hi := pt.LoBit, pt.HiBit
-	if hi > 31 {
-		hi = 31
-	}
-	if lo > hi {
-		lo = hi
-	}
-	if pt.MaxTrials <= 0 {
-		pt.MaxTrials = 1
-	}
-	seed := pt.ScheduleSeed()
-	shardSize := e.shardSize
-	if pt.MinTrials <= 0 {
-		pt.MinTrials = 2 * shardSize
-		if half := pt.MaxTrials / 2; half < pt.MinTrials {
-			pt.MinTrials = half
-		}
-	}
-	numShards := (pt.MaxTrials + shardSize - 1) / shardSize
-	workers := pt.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > numShards {
-		workers = numShards
-	}
-
-	type shardOut struct {
-		idx    int
-		trials []Trial
-	}
-	// curtailed records whether cancellation actually cut work short (a
-	// shard skipped, truncated, or never fed). A cancel that lands after
-	// the full budget ran leaves the point complete and un-flagged.
-	var stop, curtailed atomic.Bool
-	shardCh := make(chan int)
-	outCh := make(chan shardOut, workers)
-
-	go func() {
-		defer close(shardCh)
-		for s := 0; s < numShards; s++ {
-			if stop.Load() {
-				return
-			}
-			select {
-			case shardCh <- s:
-			case <-ctx.Done():
-				curtailed.Store(true)
-				return
-			}
-		}
-	}()
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for s := range shardCh {
-				if stop.Load() {
-					outCh <- shardOut{s, nil}
-					continue
-				}
-				if ctx.Err() != nil {
-					curtailed.Store(true)
-					outCh <- shardOut{s, nil}
-					continue
-				}
-				count := shardSize
-				if rem := pt.MaxTrials - s*shardSize; rem < count {
-					count = rem
-				}
-				trials := e.runShard(ctx, seed, pt.Errors, lo, hi, pt.MaxRecoveries, s, count)
-				if len(trials) < count {
-					curtailed.Store(true)
-				}
-				outCh <- shardOut{s, trials}
-			}
-		}()
-	}
-	go func() {
-		wg.Wait()
-		close(outCh)
-	}()
-
-	// The collector folds shards in index order so early-stop decisions —
-	// and therefore the reported trial count — do not depend on worker
-	// scheduling. Shards finished after the stop decision are discarded.
-	var a aggregate
-	pending := make(map[int][]Trial)
-	next, trialBase := 0, 0
-	stopped := false
-	for out := range outCh {
-		if stopped {
-			continue
-		}
-		pending[out.idx] = out.trials
-		for !stopped {
-			trials, ok := pending[next]
-			if !ok {
-				break
-			}
-			delete(pending, next)
-			for i, tr := range trials {
-				a.add(tr)
-				if observe != nil {
-					observe(trialBase+i, tr)
-				}
-			}
-			trialBase += len(trials)
-			next++
-			if next < numShards && pt.StopWidth > 0 && a.trials >= pt.MinTrials {
-				if a.ciWidth() < pt.StopWidth {
-					stopped = true
-					stop.Store(true)
-				}
-			}
-		}
-	}
-	r := a.result(pt.Errors, lo, hi, stopped, curtailed.Load())
-	pointSpan.SetAttr(
-		obstrace.Int("trials_run", int64(r.Trials)),
-		obstrace.Bool("stopped_early", r.EarlyStopped),
-		obstrace.Bool("cancelled", r.Cancelled))
-	return r
+	return e.newCollector(0, pt).finish(true)
 }
 
 // ScheduleSeed is the seed pt's trial schedule derives from: pt.Seed,
@@ -491,119 +359,266 @@ func ErrorPoints(tmpl Point, errorCounts []int) []Point {
 	return pts
 }
 
-// Sweep runs the points in order through RunPoint and returns their
-// results. Once ctx is done it starts no further point: the result
-// list ends at the interrupted point, which comes back partial with
-// Cancelled set (or earlier, if ctx was done before a point started).
-// observe, when non-nil, receives every trial with its point index.
+// Sweep runs the points and returns their results in order. A trial is
+// the unit of dispatch: one pool of workers (the largest Workers of the
+// points, capped at the trial count) takes trials one at a time from a
+// dispatcher that walks the points and their shards in order. Each point
+// folds its trials in order and may stop early after a whole shard, so
+// results and the observer stream are the same at any worker count. After
+// a cancel, running trials finish and the list ends at the first point
+// cut short, flagged Cancelled, or before it if none of its trials ran.
 func (e *Engine) Sweep(ctx context.Context, pts []Point, observe SweepObserver) []PointResult {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	out := make([]PointResult, 0, len(pts))
+	cols := make([]*collector, len(pts))
+	workers, trials := 0, 0
 	for i, pt := range pts {
-		if ctx.Err() != nil {
-			break
+		cols[i] = e.newCollector(i, pt)
+		workers = max(workers, cols[i].pt.Workers)
+		trials += min(cols[i].pt.MaxTrials, math.MaxInt32) // cannot overflow
+	}
+	// A result slot per worker, so finished trials rarely wait on the collector.
+	jobs, results := make(chan job), make(chan job, workers)
+	go e.dispatch(ctx, cols, jobs)
+	var wg sync.WaitGroup
+	wg.Add(min(workers, trials))
+	for w := 0; w < min(workers, trials); w++ {
+		go e.work(ctx, &wg, jobs, results)
+	}
+	go func() {
+		wg.Wait()
+		close(results)
+	}()
+
+	// len(out) is the point being folded; trials of later points wait in
+	// their collectors, and late trials of early-stopped points are dropped.
+	out := make([]PointResult, 0, len(pts))
+	for j := range results {
+		if j.c.idx >= len(out) {
+			j.c.pending[j.trial] = j.tr
 		}
-		var obs Observer
-		if observe != nil {
-			obs = func(trial int, tr Trial) { observe(i, trial, tr) }
+		for len(out) < len(cols) && cols[len(out)].fold(observe) {
+			out = append(out, cols[len(out)].finish(false))
 		}
-		out = append(out, e.RunPoint(ctx, pt, obs))
+	}
+	// A point still open was cut short by cancellation and ends the list,
+	// unless none of its trials finished; the rest only close their spans.
+	for i, c := range cols[len(out):] {
+		if r := c.finish(true); i == 0 && r.Trials > 0 {
+			out = append(out, r)
+		}
 	}
 	return out
 }
 
-// runShard executes one shard's trials sequentially off the shard's own
-// RNG stream. A cancelled context stops the shard between trials and
-// returns the trials finished so far. The whole shard runs on one
-// sim.Runner, so machine state, page tables and sparse maps are built once
-// and reused across its trials (batched trial scheduling); results stay
-// bit-identical to per-trial construction.
-func (e *Engine) runShard(ctx context.Context, seed int64, errors int, lo, hi uint8, maxRec, shard, count int) []Trial {
-	defer observeShard(time.Now())
-	// One span per shard, never per trial: span creation stays off the
-	// trial path, and per-trial data rides as bounded span events
-	// recorded between trials (outside the engine step loop).
-	_, span := obstrace.Start(ctx, "campaign.shard",
-		obstrace.Int("shard", int64(shard)),
-		obstrace.Int("trials", int64(count)))
-	defer span.End()
-	rng := rand.New(rand.NewSource(shardSeed(seed, errors, lo, hi, shard)))
+// collector is one point of a sweep: its resolved spec, the aggregate
+// its trials fold into and the trials that came back ahead of their turn.
+type collector struct {
+	idx, shardSize int
+	pt             Point // lane clamped, defaults resolved
+	a              aggregate
+	pending        map[int]Trial
+	stopped        atomic.Bool // early stop: drop the remaining trials
+	// The first shard run opens span. holds counts the jobs in flight and
+	// the open shard runs, each of which holds span; the last release ends
+	// it, so the span covers exactly the point's shard spans.
+	open  sync.Once
+	ctx   context.Context // carries span
+	span  *obstrace.Span
+	holds atomic.Int32
+}
+
+func (e *Engine) newCollector(idx int, pt Point) *collector {
+	// Clamp the lane the same way plan generation will, so reported
+	// lanes, shard seeds and the actual flips all agree.
+	pt.HiBit = min(pt.HiBit, 31)
+	pt.LoBit = min(pt.LoBit, pt.HiBit)
+	pt.MaxTrials = max(pt.MaxTrials, 1)
+	if pt.MinTrials <= 0 {
+		pt.MinTrials = min(2*e.shardSize, pt.MaxTrials/2)
+	}
+	pt.Seed = pt.ScheduleSeed()
+	if pt.Workers <= 0 {
+		pt.Workers = runtime.GOMAXPROCS(0)
+	}
+	return &collector{idx: idx, shardSize: e.shardSize, pt: pt, pending: make(map[int]Trial)}
+}
+
+// fold adds the point's pending trials in order and reports whether the
+// point is complete. Stop decisions fall after whole shards, so they, and
+// the trial count, never depend on scheduling.
+func (c *collector) fold(observe SweepObserver) bool {
+	for c.a.trials < c.pt.MaxTrials {
+		tr, ok := c.pending[c.a.trials]
+		if !ok {
+			return false
+		}
+		delete(c.pending, c.a.trials)
+		c.a.add(tr)
+		if observe != nil {
+			observe(c.idx, c.a.trials-1, tr)
+		}
+		if n := c.a.trials; n%c.shardSize == 0 && n < c.pt.MaxTrials && c.pt.StopWidth > 0 &&
+			n >= c.pt.MinTrials && c.a.ciWidth() < c.pt.StopWidth {
+			c.stopped.Store(true)
+			return true
+		}
+	}
+	return true
+}
+
+// finish settles the point's result.
+func (c *collector) finish(cancelled bool) PointResult {
+	r := c.a.result(c.pt.Errors, c.pt.LoBit, c.pt.HiBit, c.stopped.Load(), cancelled)
+	c.span.SetAttr(
+		obstrace.Int("trials_run", int64(r.Trials)),
+		obstrace.Bool("stopped_early", r.EarlyStopped),
+		obstrace.Bool("cancelled", r.Cancelled))
+	return r
+}
+
+func (c *collector) release() {
+	if c.holds.Add(-1) == 0 {
+		c.span.End()
+	}
+}
+
+// job is one trial's round trip: the dispatcher draws plan, a worker sets tr.
+type job struct {
+	c            *collector
+	trial, shard int // trial is the index in the point
+	plan         *sim.FaultPlan
+	tr           Trial
+}
+
+// dispatch draws each shard's plans in order from the shard's own RNG
+// stream and hands them out one at a time, skipping the rest of a point
+// that stopped early and stopping once ctx is done.
+func (e *Engine) dispatch(ctx context.Context, cols []*collector, jobs chan<- job) {
+	defer close(jobs)
+	for _, c := range cols {
+		pt := c.pt
+		var rng *rand.Rand
+		for t := 0; t < pt.MaxTrials && !c.stopped.Load(); t++ {
+			if t%c.shardSize == 0 {
+				rng = rand.New(rand.NewSource(shardSeed(pt.Seed, pt.Errors, pt.LoBit, pt.HiBit, t/c.shardSize)))
+			}
+			plan, err := fault.NewPlanBitsRand(rng, e.Eligible, e.Clean.EligibleExec, pt.Errors, pt.LoBit, pt.HiBit)
+			if err != nil {
+				panic(err) // unreachable: New rejects empty eligible streams
+			}
+			c.holds.Add(1)
+			select {
+			case jobs <- job{c: c, trial: t, shard: t / c.shardSize, plan: plan}:
+			case <-ctx.Done():
+				c.release()
+				return
+			}
+		}
+	}
+}
+
+// work runs trials off jobs on one sim.Runner, reusing its machine state
+// across trials. It skips every trial once ctx is done, and those of a
+// point that stopped early; its collector never folds past the gap.
+func (e *Engine) work(ctx context.Context, wg *sync.WaitGroup, jobs <-chan job, results chan<- job) {
+	defer wg.Done()
 	rn := e.rec.NewRunner()
 	defer rn.Close()
-	trials := make([]Trial, 0, count)
-	for i := 0; i < count; i++ {
-		if ctx.Err() != nil {
-			return trials
-		}
-		plan, err := fault.NewPlanBitsRand(rng, e.Eligible, e.Clean.EligibleExec, errors, lo, hi)
-		if err != nil {
-			panic(err) // unreachable: New rejects empty eligible streams
-		}
-		if e.class != nil && e.planBenign(plan) {
-			// Every flip lands in a dead (or discarded) destination, so
-			// the execution is provably the clean run: synthesize the
-			// trial the simulator would have produced. The plan was still
-			// drawn from the RNG stream, so subsequent trials are
-			// unaffected. Bit-identity with a simulated run is pinned by
-			// TestPruningDifferential.
-			tr := Trial{Outcome: sim.OK, Value: math.NaN(), Masked: true,
-				Instret: e.Clean.Instret, Injected: len(plan.Injections), Shard: shard}
-			if e.Score != nil {
-				tr.Value, tr.Acceptable = e.Score(e.Clean.Output, e.Clean.Output)
-			} else {
-				tr.Acceptable = true
-			}
-			e.pruned.Add(1)
-			campTrialsPruned.Inc()
-			countTrial(tr)
-			if span != nil && span.EventRoom() > 0 {
-				span.Event("trial",
-					obstrace.Int("trial", int64(i)),
-					obstrace.String("outcome", tr.Outcome.String()),
-					obstrace.Int("instret", int64(tr.Instret)),
-					obstrace.Bool("pruned", true))
-			}
-			trials = append(trials, tr)
+	var run shardRun
+	for j := range jobs {
+		switch {
+		case ctx.Err() != nil || j.c.stopped.Load():
+			j.c.release()
 			continue
+		case run.c == j.c && run.shard == j.shard:
+			j.c.release() // the open run already holds the span
+		default:
+			run.end()
+			run = openRun(ctx, j) // the job's hold becomes the run's
 		}
-		res := rn.RunRecover(e.planIdx(plan), plan, e.Budget, sim.RecoveryPolicy{MaxAttempts: maxRec})
-		tr := Trial{Outcome: res.Outcome, Value: math.NaN(), Instret: res.Instret, Injected: res.Injected, Shard: shard,
-			RecoveryAttempts: res.RecoveryAttempts, RecoverInstret: res.RecoverInstret}
-		tr.DetectLatency, tr.HasLatency = res.DetectLatency()
-		if res.Outcome == sim.Detected {
-			tr.DetectKind = "unknown"
-			if e.DetectClass != nil {
-				if k := e.DetectClass(res.DetectPC); k != "" {
-					tr.DetectKind = k
-				}
-			}
-		}
-		if res.Outcome == sim.OK {
-			tr.Masked = bytes.Equal(res.Output, e.Clean.Output)
-			if e.Score != nil {
-				tr.Value, tr.Acceptable = e.Score(e.Clean.Output, res.Output)
-			} else {
-				tr.Acceptable = tr.Masked
-			}
-		}
-		countTrial(tr)
-		if span != nil && span.EventRoom() > 0 {
-			attrs := []obstrace.Attr{
-				obstrace.Int("trial", int64(i)),
-				obstrace.String("outcome", tr.Outcome.String()),
-				obstrace.Int("instret", int64(tr.Instret)),
-				obstrace.Int("inject_instret", int64(res.FirstInjectInstret)),
-			}
-			if tr.DetectKind != "" {
-				attrs = append(attrs, obstrace.String("transform", tr.DetectKind))
-			}
-			span.Event("trial", attrs...)
-		}
-		trials = append(trials, tr)
+		j.tr = e.runTrial(rn, run.span, j)
+		run.trials++
+		results <- j
 	}
-	return trials
+	run.end()
+}
+
+// shardRun is one worker's contiguous run of one shard's trials: one
+// campaign.shard span and one etap_campaign_shard_seconds sample. Spans
+// stay off the trial path; trials ride as bounded span events.
+type shardRun struct {
+	c             *collector
+	shard, trials int
+	span          *obstrace.Span
+	start         time.Time
+}
+
+// openRun opens a shard span under j's point span, opening that first if
+// need be. Spans nest via ctx (HTTP → job → point → shard) and never
+// influence scheduling or results (pinned by the root determinism guard).
+func openRun(ctx context.Context, j job) shardRun {
+	c := j.c
+	c.open.Do(func() {
+		campPoints.Inc()
+		c.ctx, c.span = obstrace.Start(ctx, "campaign.point",
+			obstrace.Int("errors", int64(c.pt.Errors)),
+			obstrace.Int("max_trials", int64(c.pt.MaxTrials)))
+	})
+	_, span := obstrace.Start(c.ctx, "campaign.shard", obstrace.Int("shard", int64(j.shard)))
+	return shardRun{c: c, shard: j.shard, span: span, start: time.Now()}
+}
+
+func (r shardRun) end() {
+	if r.c != nil {
+		r.span.SetAttr(obstrace.Int("trials", int64(r.trials)))
+		r.span.End()
+		campShardSeconds.Observe(time.Since(r.start).Seconds())
+		r.c.release()
+	}
+}
+
+// runTrial executes one trial on rn and records it as an event on span.
+// A trial whose every flip strikes a statically benign site is provably
+// the clean run and is synthesized instead (TestPruningDifferential pins
+// the bit-identity).
+func (e *Engine) runTrial(rn *sim.Runner, span *obstrace.Span, j job) Trial {
+	tr := Trial{Outcome: sim.OK, Value: math.NaN(), Instret: e.Clean.Instret, Injected: len(j.plan.Injections), Shard: j.shard}
+	out, detail := e.Clean.Output, obstrace.Bool("pruned", true)
+	if e.class != nil && e.planBenign(j.plan) {
+		e.pruned.Add(1)
+		campTrialsPruned.Inc()
+	} else {
+		res := rn.RunRecover(e.planIdx(j.plan), j.plan, e.Budget, sim.RecoveryPolicy{MaxAttempts: j.c.pt.MaxRecoveries})
+		tr.Outcome, tr.Instret, tr.Injected = res.Outcome, res.Instret, res.Injected
+		tr.RecoveryAttempts, tr.RecoverInstret = res.RecoveryAttempts, res.RecoverInstret
+		tr.DetectLatency, tr.HasLatency = res.DetectLatency()
+		if res.Outcome == sim.Detected && e.DetectClass != nil {
+			tr.DetectKind = e.DetectClass(res.DetectPC)
+		}
+		if res.Outcome == sim.Detected && tr.DetectKind == "" {
+			tr.DetectKind = "unknown"
+		}
+		out, detail = res.Output, obstrace.Int("inject_instret", int64(res.FirstInjectInstret))
+	}
+	if tr.Outcome == sim.OK {
+		tr.Masked = bytes.Equal(out, e.Clean.Output)
+		tr.Acceptable = tr.Masked
+		if e.Score != nil {
+			tr.Value, tr.Acceptable = e.Score(e.Clean.Output, out)
+		}
+	}
+	countTrial(tr)
+	if span != nil && span.EventRoom() > 0 {
+		attrs := []obstrace.Attr{obstrace.Int("trial", int64(j.trial%j.c.shardSize)),
+			obstrace.String("outcome", tr.Outcome.String()), obstrace.Int("instret", int64(tr.Instret)), detail}
+		if tr.DetectKind != "" {
+			attrs = append(attrs, obstrace.String("transform", tr.DetectKind))
+		}
+		span.Event("trial", attrs...)
+	}
+	return tr
 }
 
 // shardSeed derives a shard's RNG seed from the campaign seed and the

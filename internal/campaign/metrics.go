@@ -1,8 +1,6 @@
 package campaign
 
 import (
-	"time"
-
 	"etap/internal/obs"
 	"etap/internal/sim"
 )
@@ -32,7 +30,7 @@ var (
 	campTrialsPruned = obs.Default().Counter("etap_campaign_trials_pruned_total",
 		"Trials statically classified benign and skipped: their outcome was synthesized from the clean run instead of simulated. Pruned trials still count in etap_campaign_trials_total and every aggregate.")
 	campShardSeconds = obs.Default().Histogram("etap_campaign_shard_seconds",
-		"Wall-clock seconds one worker spent executing one shard of trials.",
+		"Wall-clock seconds of one worker's contiguous run of one shard's trials.",
 		obs.ExpBuckets(0.0005, 4, 12))
 	campDetectLatency = obs.Default().HistogramVec("etap_campaign_detect_latency_instructions",
 		"Retired instructions between the first injected flip and the redundancy check that caught it (Detected trials only), by transform class.",
@@ -75,9 +73,4 @@ func countTrial(tr Trial) {
 	if tr.Outcome == sim.Recovered {
 		campRecoverLatency.Observe(float64(tr.RecoverInstret))
 	}
-}
-
-// observeShard records one shard's wall-clock.
-func observeShard(start time.Time) {
-	campShardSeconds.Observe(time.Since(start).Seconds())
 }

@@ -47,11 +47,7 @@ func (o Options) base() campaign.Point {
 // sweep runs pts on e (campaign.Engine.Sweep), feeding every trial to
 // the Observer.
 func (o Options) sweep(ctx context.Context, e *campaign.Engine, pts []campaign.Point) []campaign.PointResult {
-	var observe campaign.SweepObserver
-	if o.Observer != nil {
-		observe = func(_, trial int, tr campaign.Trial) { o.Observer(trial, tr) }
-	}
-	return e.Sweep(ctx, pts, observe)
+	return e.Sweep(ctx, pts, o.Observer.ForSweep())
 }
 
 // Built is one benchmark compiled, analyzed and ready for injection

@@ -5,7 +5,7 @@
 // per-page dirty bitmap — maintained by the flat store path — lets reset()
 // zero only the pages a trial actually wrote. Restored trials run on a
 // Runner, which keeps one machine, the page tables and the
-// sparse-page maps alive across all trials of a campaign shard.
+// sparse-page maps alive across all trials one campaign worker runs.
 //
 // Pooling invariants (see docs/PERF.md): a scratchBuf's mem is all-zero
 // outside pages marked in dirty — every write path through the machine
@@ -109,8 +109,8 @@ func acquireRestore(fastPages int) *restoreBuf {
 
 // Runner executes trials against one Recording while reusing all per-trial
 // state: the machine struct, the restore page tables, and
-// the sparse-page maps. It is not safe for concurrent use — campaign
-// shards each own one — but any number of Runners may share a Recording.
+// the sparse-page maps. It is not safe for concurrent use — each campaign
+// worker owns one — but any number of Runners may share a Recording.
 type Runner struct {
 	rec      *Recording
 	rb       *restoreBuf

@@ -8,8 +8,8 @@ import (
 
 // ProgressEvent is one trial of a running campaign point, streamed to a
 // WithProgress observer in deterministic order: trial index, how the
-// trial ended, how many instructions it retired, and which shard
-// executed it.
+// trial ended, how many instructions it retired, and which shard drew
+// it.
 type ProgressEvent struct {
 	// Trial is the zero-based index of the trial within its point.
 	Trial int
@@ -17,8 +17,8 @@ type ProgressEvent struct {
 	Outcome Outcome
 	// Instructions is the trial's retired instruction count.
 	Instructions uint64
-	// Shard is the work-distribution shard that ran the trial; the
-	// trial→shard mapping is deterministic, the shard→worker mapping is
+	// Shard is the shard whose RNG stream drew the trial; the
+	// trial→shard mapping is deterministic, the trial→worker mapping is
 	// not.
 	Shard int
 }
