@@ -420,13 +420,17 @@ type collector struct {
 	a              aggregate
 	pending        map[int]Trial
 	stopped        atomic.Bool // early stop: drop the remaining trials
-	// The first shard run opens span. holds counts the jobs in flight and
-	// the open shard runs, each of which holds span; the last release ends
-	// it, so the span covers exactly the point's shard spans.
-	open  sync.Once
-	ctx   context.Context // carries span
-	span  *obstrace.Span
-	holds atomic.Int32
+	// The first shard run opens span. holds counts the jobs in flight,
+	// the open shard runs and the unsettled result, each of which holds
+	// span. The last release ends it at the end of the last shard run, so
+	// the span covers exactly the point's shard spans and still carries
+	// the result attributes finish sets.
+	open    sync.Once
+	ctx     context.Context // carries span
+	span    *obstrace.Span
+	holds   atomic.Int32
+	endMu   sync.Mutex
+	lastEnd time.Time // latest shard run end
 }
 
 func (e *Engine) newCollector(idx int, pt Point) *collector {
@@ -442,7 +446,9 @@ func (e *Engine) newCollector(idx int, pt Point) *collector {
 	if pt.Workers <= 0 {
 		pt.Workers = runtime.GOMAXPROCS(0)
 	}
-	return &collector{idx: idx, shardSize: e.shardSize, pt: pt, pending: make(map[int]Trial)}
+	c := &collector{idx: idx, shardSize: e.shardSize, pt: pt, pending: make(map[int]Trial)}
+	c.holds.Store(1) // finish's
+	return c
 }
 
 // fold adds the point's pending trials in order and reports whether the
@@ -468,20 +474,34 @@ func (c *collector) fold(observe SweepObserver) bool {
 	return true
 }
 
-// finish settles the point's result.
+// finish settles the point's result. It runs once per collector.
 func (c *collector) finish(cancelled bool) PointResult {
 	r := c.a.result(c.pt.Errors, c.pt.LoBit, c.pt.HiBit, c.stopped.Load(), cancelled)
 	c.span.SetAttr(
 		obstrace.Int("trials_run", int64(r.Trials)),
 		obstrace.Bool("stopped_early", r.EarlyStopped),
 		obstrace.Bool("cancelled", r.Cancelled))
+	c.release()
 	return r
 }
 
+// release drops one hold on the point span; the last ends it.
 func (c *collector) release() {
 	if c.holds.Add(-1) == 0 {
-		c.span.End()
+		c.endMu.Lock()
+		end := c.lastEnd
+		c.endMu.Unlock()
+		c.span.EndAt(end)
 	}
+}
+
+// ranUntil records that a shard run of the point ended at end.
+func (c *collector) ranUntil(end time.Time) {
+	c.endMu.Lock()
+	if end.After(c.lastEnd) {
+		c.lastEnd = end
+	}
+	c.endMu.Unlock()
 }
 
 // job is one trial's round trip: the dispatcher draws plan, a worker sets tr.
@@ -572,9 +592,11 @@ func openRun(ctx context.Context, j job) shardRun {
 
 func (r shardRun) end() {
 	if r.c != nil {
+		end := time.Now()
 		r.span.SetAttr(obstrace.Int("trials", int64(r.trials)))
-		r.span.End()
-		campShardSeconds.Observe(time.Since(r.start).Seconds())
+		r.span.EndAt(end)
+		campShardSeconds.Observe(end.Sub(r.start).Seconds())
+		r.c.ranUntil(end)
 		r.c.release()
 	}
 }

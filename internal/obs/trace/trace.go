@@ -221,7 +221,11 @@ func (s *Span) SetStatus(code Status, msg string) {
 // End finishes the span. The first End wins; later calls are no-ops.
 // When the last open span of a trace ends, the trace moves to the
 // flight recorder and, if sampled, to the exporter.
-func (s *Span) End() {
+func (s *Span) End() { s.EndAt(time.Now()) }
+
+// EndAt is End with an explicit end time, for an operation whose work
+// finished before the span could be closed.
+func (s *Span) EndAt(end time.Time) {
 	if s == nil {
 		return
 	}
@@ -231,7 +235,7 @@ func (s *Span) End() {
 		return
 	}
 	s.ended = true
-	s.end = time.Now()
+	s.end = end
 	s.mu.Unlock()
 	s.tracer.spanEnded(s.trace)
 }

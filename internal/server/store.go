@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"sync"
@@ -57,6 +58,12 @@ const compactThreshold = 256
 // Save, e.g. shutdown). Load replays the journal over the snapshot and
 // trims a torn final record, so a crash mid-append loses at most the
 // interrupted record, never the store or a later append.
+//
+// Every journal line and the snapshot's job table carry a CRC-32C
+// checksum, so a corrupted byte anywhere fails the load (or, in the
+// final journal record, drops that record like a torn append) instead
+// of serving a silently wrong report. Journal lines and version-1
+// snapshots written before checksums existed still load, unchecked.
 type FileStore struct {
 	path string
 
@@ -77,11 +84,72 @@ func NewFileStore(path string) *FileStore {
 func (f *FileStore) journalPath() string { return f.path + ".journal" }
 
 // fileSnapshot is the on-disk envelope, versioned so a future format
-// change can migrate instead of guessing.
+// change can migrate instead of guessing. Version 2 adds Checksum, the
+// CRC-32C of Jobs in compact form; version 1 has none.
 type fileSnapshot struct {
-	Version int            `json:"version"`
-	Saved   time.Time      `json:"saved"`
-	Jobs    []PersistedJob `json:"jobs"`
+	Version  int             `json:"version"`
+	Saved    time.Time       `json:"saved"`
+	Checksum string          `json:"checksum,omitempty"`
+	Jobs     json.RawMessage `json:"jobs"`
+}
+
+// snapshotVersion is the envelope version FileStore writes.
+const snapshotVersion = 2
+
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// checksum is the hex CRC-32C that guards a snapshot's job table or a
+// journal record.
+func checksum(b []byte) string { return fmt.Sprintf("%08x", crc32.Checksum(b, castagnoli)) }
+
+// decodeSnapshot verifies and decodes a snapshot file.
+func decodeSnapshot(data []byte) ([]PersistedJob, error) {
+	var snap fileSnapshot
+	if err := json.Unmarshal(data, &snap); err != nil {
+		return nil, err
+	}
+	switch snap.Version {
+	case 1:
+	case snapshotVersion:
+		var compact bytes.Buffer
+		if err := json.Compact(&compact, snap.Jobs); err != nil {
+			return nil, err
+		}
+		if checksum(compact.Bytes()) != snap.Checksum {
+			return nil, errors.New("job table checksum mismatch")
+		}
+	default:
+		return nil, fmt.Errorf("unknown version %d", snap.Version)
+	}
+	var jobs []PersistedJob
+	if err := json.Unmarshal(snap.Jobs, &jobs); err != nil {
+		return nil, err
+	}
+	return jobs, nil
+}
+
+// encodeRecord frames one journal record: its checksum, a space, and
+// its JSON.
+func encodeRecord(e journalEntry) ([]byte, error) {
+	rec, err := json.Marshal(e)
+	if err != nil {
+		return nil, err
+	}
+	return append([]byte(checksum(rec)+" "), rec...), nil
+}
+
+// decodeRecord parses one journal line, verifying its checksum; a line
+// that starts with the JSON itself predates checksums and is taken
+// unchecked.
+func decodeRecord(line []byte) (journalEntry, bool) {
+	var e journalEntry
+	if line[0] != '{' {
+		if len(line) < 10 || line[8] != ' ' || string(line[:8]) != checksum(line[9:]) {
+			return e, false
+		}
+		line = line[9:]
+	}
+	return e, json.Unmarshal(line, &e) == nil
 }
 
 // journalEntry is one journal line: an upsert or a deletion.
@@ -106,14 +174,11 @@ func (f *FileStore) Load() ([]PersistedJob, error) {
 	case err != nil:
 		return nil, fmt.Errorf("server: load job store: %w", err)
 	default:
-		var snap fileSnapshot
-		if err := json.Unmarshal(data, &snap); err != nil {
+		jobs, err := decodeSnapshot(data)
+		if err != nil {
 			return nil, fmt.Errorf("server: job store %s is corrupt: %w", f.path, err)
 		}
-		if snap.Version != 1 {
-			return nil, fmt.Errorf("server: job store %s has unknown version %d", f.path, snap.Version)
-		}
-		for _, j := range snap.Jobs {
+		for _, j := range jobs {
 			f.upsertLocked(j)
 		}
 	}
@@ -134,7 +199,11 @@ func (f *FileStore) Load() ([]PersistedJob, error) {
 		}
 		line := bytes.TrimSpace(jdata[good : good+n])
 		var e journalEntry
-		if len(line) > 0 && json.Unmarshal(line, &e) != nil {
+		ok := true
+		if len(line) > 0 {
+			e, ok = decodeRecord(line)
+		}
+		if !ok {
 			if len(bytes.TrimSpace(jdata[good+n+1:])) > 0 {
 				return nil, fmt.Errorf("server: job journal %s is corrupt at byte %d", f.journalPath(), good)
 			}
@@ -210,7 +279,7 @@ func (f *FileStore) appendLocked(e journalEntry) error {
 		}
 		f.journal = jf
 	}
-	line, err := json.Marshal(e)
+	line, err := encodeRecord(e)
 	if err != nil {
 		return fmt.Errorf("server: encode job journal record: %w", err)
 	}
@@ -259,7 +328,13 @@ func (f *FileStore) compactLocked() error {
 // + rename) so a crash mid-save never corrupts the previous snapshot.
 // Callers hold f.mu.
 func (f *FileStore) writeSnapshotLocked() error {
-	data, err := json.MarshalIndent(fileSnapshot{Version: 1, Saved: time.Now().UTC(), Jobs: f.jobs}, "", "  ")
+	jobs, err := json.Marshal(f.jobs)
+	if err != nil {
+		return fmt.Errorf("server: encode job store: %w", err)
+	}
+	data, err := json.MarshalIndent(fileSnapshot{
+		Version: snapshotVersion, Saved: time.Now().UTC(), Checksum: checksum(jobs), Jobs: jobs,
+	}, "", "  ")
 	if err != nil {
 		return fmt.Errorf("server: encode job store: %w", err)
 	}

@@ -325,6 +325,155 @@ func TestFileStoreTruncatedAtEveryOffset(t *testing.T) {
 	}
 }
 
+// TestFileStoreCorruptedAtEveryOffset flips and overwrites every byte
+// of a small journal and of a small snapshot. Each damaged file must
+// load a clean prefix of what was written (for the journal: the records
+// before the damaged one, when nothing follows it) or fail the load; it
+// must never yield a job that was not written.
+func TestFileStoreCorruptedAtEveryOffset(t *testing.T) {
+	dir := t.TempDir()
+	src := filepath.Join(dir, "src.json")
+	f := NewFileStore(src)
+	withReport := storedJob("c", StateDone, 9)
+	withReport.Report = json.RawMessage(`{"id":"characterize","rows":[[{"text":"0.25"}]]}`)
+	entries := []journalEntry{
+		{Put: ptr(storedJob("a", StateQueued, 0))},
+		{Put: ptr(storedJob("b", StateRunning, 4))},
+		{Put: ptr(storedJob("a", StateDone, 7))},
+		{Put: &withReport},
+		{Delete: "b"},
+	}
+	for _, e := range entries {
+		var err error
+		if e.Put != nil {
+			err = f.SaveJob(*e.Put)
+		} else {
+			err = f.DeleteJob(e.Delete)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	journal, err := os.ReadFile(src + ".journal")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// prefixes[k] is the table after the first k records.
+	var prefixes [][]PersistedJob
+	var table []PersistedJob
+	for k := 0; ; k++ {
+		prefixes = append(prefixes, slices.Clone(table))
+		if k == len(entries) {
+			break
+		}
+		e := entries[k]
+		i := slices.IndexFunc(table, func(j PersistedJob) bool {
+			return j.ID == e.Delete || (e.Put != nil && j.ID == e.Put.ID)
+		})
+		switch {
+		case e.Put != nil && i >= 0:
+			table[i] = *e.Put
+		case e.Put != nil:
+			table = append(table, *e.Put)
+		default:
+			table = slices.Delete(table, i, i+1)
+		}
+	}
+	if err := f.Save(table); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := os.ReadFile(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	path := filepath.Join(dir, "jobs.json")
+	damage := func(file []byte, i int) [][]byte {
+		var out [][]byte
+		for _, b := range []byte{file[i] ^ 0x01, file[i] ^ 0x20, '0', '9', ' ', '\n', '"', '}'} {
+			if b != file[i] {
+				c := slices.Clone(file)
+				c[i] = b
+				out = append(out, c)
+			}
+		}
+		return out
+	}
+	// The report endpoint re-indents a persisted report, so whitespace
+	// inside one is not part of the job.
+	compactReports := func(jobs []PersistedJob) []PersistedJob {
+		for i, j := range jobs {
+			var b bytes.Buffer
+			if len(j.Report) > 0 && json.Compact(&b, j.Report) == nil {
+				jobs[i].Report = b.Bytes()
+			}
+		}
+		return jobs
+	}
+	check := func(what string, i int, allowed [][]PersistedJob) {
+		t.Helper()
+		jobs, err := NewFileStore(path).Load()
+		if err != nil {
+			return
+		}
+		for _, want := range allowed {
+			if reflect.DeepEqual(compactReports(jobs), compactReports(want)) {
+				return
+			}
+		}
+		t.Fatalf("%s damaged at byte %d loaded a table that was never written: %+v", what, i, jobs)
+	}
+	for i := range journal {
+		for _, bad := range damage(journal, i) {
+			if err := os.WriteFile(path+".journal", bad, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			check("journal", i, prefixes)
+		}
+	}
+	os.Remove(path + ".journal")
+	for i := range snap {
+		for _, bad := range damage(snap, i) {
+			if err := os.WriteFile(path, bad, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			check("snapshot", i, [][]PersistedJob{table})
+		}
+	}
+}
+
+// TestFileStoreLoadsUncheckedFormat: a version-1 snapshot and journal
+// lines written before records carried checksums still load, and new
+// records append after them.
+func TestFileStoreLoadsUncheckedFormat(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "jobs.json")
+	v1 := `{"version":1,"saved":"2024-01-01T00:00:00Z","jobs":[` +
+		`{"id":"a","spec":{"benchmark":"b1"},"state":"done","created":"2023-11-14T22:13:20Z","trials_done":7}]}`
+	if err := os.WriteFile(path, []byte(v1), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	legacy := `{"put":{"id":"b","spec":{"benchmark":"b1"},"state":"running","created":"2023-11-14T22:13:20Z","trials_done":4}}` + "\n"
+	if err := os.WriteFile(path+".journal", []byte(legacy), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	f := NewFileStore(path)
+	jobs, err := f.Load()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []PersistedJob{storedJob("a", StateDone, 7), storedJob("b", StateRunning, 4)}
+	if !reflect.DeepEqual(jobs, want) {
+		t.Fatalf("loaded %+v, want %+v", jobs, want)
+	}
+	if err := f.SaveJob(storedJob("b", StateDone, 5)); err != nil {
+		t.Fatal(err)
+	}
+	want[1] = storedJob("b", StateDone, 5)
+	if jobs, err := NewFileStore(path).Load(); err != nil || !reflect.DeepEqual(jobs, want) {
+		t.Fatalf("reload after a checked append: %+v, %v", jobs, err)
+	}
+}
+
 func ptr[T any](v T) *T { return &v }
 
 // benchTable builds a job table shaped like a busy server: size

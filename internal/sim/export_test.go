@@ -61,16 +61,50 @@ func (m *machine) state() State {
 		Output:      append([]byte(nil), m.out...),
 		Pages:       map[uint32][pageSize]byte{},
 	}
-	// Every flat write marks its page dirty, so unmarked pages are zero.
-	for pn := uint32(0); pn < m.memSize>>pageShift; pn++ {
-		if m.dirty[pn>>6]>>(pn&63)&1 == 1 {
-			addNonzero(s.Pages, pn, (*[pageSize]byte)(m.mem[pn<<pageShift:]))
+	switch {
+	case m.paged:
+		for pn, pg := range m.pageTab {
+			if pg != nil {
+				addNonzero(s.Pages, uint32(pn), pg)
+			}
+		}
+		for pn, pg := range m.roSparse {
+			addNonzero(s.Pages, pn, pg)
+		}
+	default:
+		// Every flat write marks its page dirty, so unmarked pages are zero.
+		for pn := uint32(0); pn < m.memSize>>pageShift; pn++ {
+			if m.dirty[pn>>6]>>(pn&63)&1 == 1 {
+				addNonzero(s.Pages, pn, (*[pageSize]byte)(m.mem[pn<<pageShift:]))
+			}
 		}
 	}
 	for pn, pg := range m.pages {
 		addNonzero(s.Pages, pn, pg)
 	}
 	return s
+}
+
+// RestoredState restores checkpoint idx on the runner, as a trial would,
+// and flattens the machine before it runs a single instruction.
+func (rn *Runner) RestoredState(idx int) State {
+	rn.RunFrom(idx, nil, rn.rec.snaps[idx].Instret)
+	return rn.m.state()
+}
+
+// KeyframeEvery is the delta-chain bound of stored checkpoint pages.
+const KeyframeEvery = keyframeEvery
+
+// MaxChainDepth is the longest delta chain any checkpoint's page version
+// sits on: 0 when every stored page is a keyframe.
+func (r *Recording) MaxChainDepth() int {
+	d := 0
+	for _, s := range r.snaps {
+		for _, v := range s.pages {
+			d = max(d, v.depth)
+		}
+	}
+	return d
 }
 
 // SnapshotState flattens checkpoint idx into a State: the base image
@@ -92,8 +126,10 @@ func (r *Recording) SnapshotState(idx int) State {
 			addNonzero(s.Pages, uint32(pn), pg)
 		}
 	}
-	for pn, pg := range snap.pages {
-		addNonzero(s.Pages, pn, pg)
+	for pn, v := range snap.pages {
+		var pg [pageSize]byte
+		v.materialize(&pg)
+		addNonzero(s.Pages, pn, &pg)
 	}
 	return s
 }

@@ -108,8 +108,9 @@ func acquireRestore(fastPages int) *restoreBuf {
 }
 
 // Runner executes trials against one Recording while reusing all per-trial
-// state: the machine struct, the restore page tables, and
-// the sparse-page maps. It is not safe for concurrent use — each campaign
+// state: the machine struct, the restore page tables, the sparse-page
+// maps and the private pages delta-encoded checkpoint pages materialize
+// into. It is not safe for concurrent use — each campaign
 // worker owns one — but any number of Runners may share a Recording.
 type Runner struct {
 	rec      *Recording
@@ -117,6 +118,7 @@ type Runner struct {
 	m        machine
 	pages    map[uint32]*[pageSize]byte
 	roSparse map[uint32]*[pageSize]byte
+	own      []*[pageSize]byte
 }
 
 // NewRunner returns a Runner bound to the recording. Call Close when the
@@ -193,11 +195,29 @@ func (rn *Runner) RunFrom(idx int, plan *FaultPlan, maxInstr uint64) Result {
 		out:         s.out,
 	}
 	copy(m.regs[:], s.regs[:])
-	for pn, pg := range s.pages {
-		if int(pn) < fastPages {
-			rb.pageTab[pn] = pg
-		} else {
+	// Keyframe pages are shared read-only; delta pages materialize into
+	// private pages the trial then writes in place.
+	own := 0
+	for pn, v := range s.pages {
+		pg, private := v.full, v.full == nil
+		if private {
+			if own == len(rn.own) {
+				rn.own = append(rn.own, new([pageSize]byte))
+			}
+			pg = rn.own[own]
+			own++
+			v.materialize(pg)
+		}
+		switch {
+		case int(pn) >= fastPages && private:
+			m.pages[pn] = pg
+		case int(pn) >= fastPages:
 			m.roSparse[pn] = pg
+		default:
+			rb.pageTab[pn] = pg
+			if private {
+				rb.wrTab[pn] = pg
+			}
 		}
 	}
 	if plan != nil {

@@ -146,3 +146,56 @@ loop:
 		checkMarks(t, rep.Prog, cfg, rec, cls.Benign)
 	}
 }
+
+// TestDeltaChainsRestoreEverywhere pins delta-encoded checkpoint pages.
+// The recording's page chains reach the keyframe bound, and thinning has
+// re-chained them several times. Every surviving checkpoint must still
+// flatten and restore, on one reused Runner, to exactly the reference
+// state at its Instret, and a trial resumed from it must match the same
+// trial run from scratch.
+func TestDeltaChainsRestoreEverywhere(t *testing.T) {
+	app, ok := all.ByName("gsm")
+	if !ok {
+		t.Fatal("gsm is not registered")
+	}
+	rep := buildApp(t, app)
+	cfg := sim.Config{Input: app.Input(), Plan: &sim.FaultPlan{Eligible: rep.Tagged}}
+	const interval = 512
+	rec, err := sim.Record(rep.Prog, cfg, sim.RecordOptions{Interval: interval, MaxSnapshots: 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	snaps := rec.Snapshots()
+	if d := snaps[1].Instret - snaps[0].Instret; d < 4*interval {
+		t.Fatalf("checkpoint cadence %d: thinning ran fewer than twice", d)
+	}
+	if d := rec.MaxChainDepth(); d != sim.KeyframeEvery-1 {
+		t.Fatalf("longest delta chain is %d, want the keyframe bound %d", d, sim.KeyframeEvery-1)
+	}
+
+	rn := rec.NewRunner()
+	defer rn.Close()
+	stops := make([]uint64, len(snaps))
+	for i, s := range snaps {
+		stops[i] = s.Instret
+	}
+	reached := sim.ReferenceStates(rep.Prog, cfg, stops, func(i int, ref sim.State) {
+		if got := rec.SnapshotState(i); !reflect.DeepEqual(got, ref) {
+			t.Errorf("checkpoint %d (instret %d) differs from the reference state", i, stops[i])
+		}
+		if got := rn.RestoredState(i); !reflect.DeepEqual(got, ref) {
+			t.Errorf("checkpoint %d (instret %d) restores to a state other than the reference", i, stops[i])
+		}
+	})
+	if reached != len(stops) {
+		t.Fatalf("reference ended after %d of %d checkpoints", reached, len(stops))
+	}
+	for idx, s := range snaps {
+		plan := &sim.FaultPlan{Eligible: rep.Tagged, Injections: []sim.Injection{{At: s.EligCount + 1, Bit: uint8(idx % 32)}}}
+		scratch, resumed := rec.RunFrom(-1, plan, 0), rn.RunFrom(idx, plan, 0)
+		if !reflect.DeepEqual(scratch, resumed) {
+			t.Fatalf("checkpoint %d (instret %d): resumed trial differs from scratch\nscratch: %+v\nresumed: %+v",
+				idx, s.Instret, scratch.Outcome, resumed.Outcome)
+		}
+	}
+}

@@ -9,15 +9,21 @@
 // Checkpoint memory is copy-on-write: a restored machine shares the
 // checkpoint's page images read-only and copies a page the first time the
 // trial writes it, so thousands of concurrent trials can hang off one
-// golden pass without duplicating the address space. Restored runs are
+// golden pass without duplicating the address space. A page the pass
+// rewrites is stored as the byte runs that changed since its previous
+// version, with a full keyframe at least every keyframeEvery versions
+// (pageVersion); a restore materializes such pages into the runner's
+// private pages before the run starts. Restored runs are
 // bit-identical to from-scratch runs — same Result down to output bytes,
 // trap details and per-class instruction counts — which the campaign
 // engine's determinism tests assert across every benchmark.
 package sim
 
 import (
+	"encoding/binary"
 	"fmt"
 	mathbits "math/bits"
+	"slices"
 	"time"
 
 	"etap/internal/isa"
@@ -43,7 +49,74 @@ type Snapshot struct {
 	inPos       int
 	outLen      int
 	out         []byte // golden output prefix; len == cap so appends copy
-	pages       map[uint32]*[pageSize]byte
+	pages       map[uint32]*pageVersion
+}
+
+// keyframeEvery bounds a page's delta chain: at least every
+// keyframeEvery-th stored version of a page is a full keyframe, so a
+// restore applies at most keyframeEvery-1 deltas to rebuild a page.
+// Golden passes change 6–192 bytes of a rewritten page between
+// checkpoints (docs/PERF.md), so a chain of 32 stores a page version in
+// a few hundred bytes instead of 4 KiB.
+const keyframeEvery = 32
+
+// pageVersion is one stored image of a page. A keyframe holds the whole
+// image in full; a delta holds, in runs, the bytes that differ from
+// prev, the page's previous stored version. Versions are immutable once
+// Record returns; only the recorder's thinning re-encodes them.
+type pageVersion struct {
+	full  *[pageSize]byte
+	prev  *pageVersion
+	runs  []byte // records of offset (u16), length (u16), then the bytes
+	depth int    // deltas since the keyframe; 0 for a keyframe
+}
+
+// materialize writes the version's image into dst.
+func (v *pageVersion) materialize(dst *[pageSize]byte) {
+	if v.full != nil {
+		*dst = *v.full
+		return
+	}
+	v.prev.materialize(dst)
+	applyDelta(dst, v.runs)
+}
+
+// appendDelta appends to dst the runs of bytes where cur differs from
+// old: one record per maximal stretch of differing 8-byte words, trimmed
+// to its first and last differing byte.
+func appendDelta(dst []byte, old, cur *[pageSize]byte) []byte {
+	word := func(pg *[pageSize]byte, i int) uint64 { return binary.LittleEndian.Uint64(pg[i:]) }
+	for i := 0; i < pageSize; i += 8 {
+		if word(old, i) == word(cur, i) {
+			continue
+		}
+		end := i + 8
+		for end < pageSize && word(old, end) != word(cur, end) {
+			end += 8
+		}
+		start := i
+		for old[start] == cur[start] {
+			start++
+		}
+		for old[end-1] == cur[end-1] {
+			end--
+		}
+		dst = binary.LittleEndian.AppendUint16(dst, uint16(start))
+		dst = binary.LittleEndian.AppendUint16(dst, uint16(end-start))
+		dst = append(dst, cur[start:end]...)
+		i = (end + 7) &^ 7 // the loop step moves past the word after the run
+	}
+	return dst
+}
+
+// applyDelta overwrites pg with the runs appendDelta encoded.
+func applyDelta(pg *[pageSize]byte, runs []byte) {
+	for len(runs) > 0 {
+		off := int(binary.LittleEndian.Uint16(runs))
+		n := int(binary.LittleEndian.Uint16(runs[2:]))
+		copy(pg[off:off+n], runs[4:4+n])
+		runs = runs[4+n:]
+	}
 }
 
 // RecordOptions parameterises checkpoint capture.
@@ -120,17 +193,20 @@ type recorder struct {
 	maxSnaps int
 
 	written []uint64                   // fast-region pages the pass wrote before the last capture
-	cum     map[uint32]*[pageSize]byte // latest copy of every page written since run start
+	latest  map[uint32]*pageVersion    // newest stored version of every page written since run start
+	image   map[uint32]*[pageSize]byte // latest's image, the base the next delta is taken against
+	hist    map[uint32][]*pageVersion  // every live version per page, oldest first
+	scratch []byte                     // delta encoding buffer
 	snaps   []*Snapshot
 }
 
-// capture folds pages written since the previous checkpoint into the
-// cumulative page map and snapshots the machine state between
-// instructions. Between captures the machine's dirty bitmap holds exactly
-// the fast-region pages written since the last one: capture copies them,
-// moves their bits into written (so the scratch pool can still zero every
-// page the pass wrote) and clears the bitmap. Sparse pages carry no dirty
-// bits; one is copied when it differs from its last copy.
+// capture stores the pages written since the previous checkpoint and
+// snapshots the machine state between instructions. Between captures the
+// machine's dirty bitmap holds exactly the fast-region pages written
+// since the last one: capture stores them, moves their bits into written
+// (so the scratch pool can still zero every page the pass wrote) and
+// clears the bitmap. Sparse pages carry no dirty bits; each is offered
+// to store, which keeps it only when it changed.
 func (r *recorder) capture(m *machine) {
 	for w, word := range m.dirty {
 		r.written[w] |= word
@@ -138,22 +214,16 @@ func (r *recorder) capture(m *machine) {
 			b := word & -word
 			word ^= b
 			pn := uint32(w)<<6 + uint32(mathbits.TrailingZeros64(b))
-			pg := new([pageSize]byte)
-			copy(pg[:], m.mem[pn<<pageShift:])
-			r.cum[pn] = pg
+			r.store(pn, (*[pageSize]byte)(m.mem[pn<<pageShift:]))
 		}
 		m.dirty[w] = 0
 	}
 	for pn, pg := range m.pages {
-		if old := r.cum[pn]; old == nil || *old != *pg {
-			cp := new([pageSize]byte)
-			*cp = *pg
-			r.cum[pn] = cp
-		}
+		r.store(pn, pg)
 	}
-	pages := make(map[uint32]*[pageSize]byte, len(r.cum))
-	for pn, pg := range r.cum {
-		pages[pn] = pg
+	pages := make(map[uint32]*pageVersion, len(r.latest))
+	for pn, v := range r.latest {
+		pages[pn] = v
 	}
 	r.snaps = append(r.snaps, &Snapshot{
 		Instret:     m.instret,
@@ -173,9 +243,81 @@ func (r *recorder) capture(m *machine) {
 				kept = append(kept, s)
 			}
 		}
+		clear(r.snaps[len(kept):])
 		r.snaps = kept
 		r.interval *= 2
 		r.next = r.snaps[len(r.snaps)-1].Instret + r.interval
+		r.rechain()
+	}
+}
+
+// store records pg as page pn's newest version: nothing when it equals
+// the latest version, else a delta against it, or a keyframe for a
+// page's first version, a chain at its bound or a delta no smaller than
+// half a page.
+func (r *recorder) store(pn uint32, pg *[pageSize]byte) {
+	img := r.image[pn]
+	if img == nil {
+		img = new([pageSize]byte)
+		r.image[pn] = img
+	} else if *img == *pg {
+		return
+	}
+	v := r.encode(r.latest[pn], img, pg)
+	*img = *pg
+	r.latest[pn] = v
+	r.hist[pn] = append(r.hist[pn], v)
+}
+
+// encode returns a version holding cur: a delta against prev, whose
+// image is old, or a keyframe when prev is nil or a delta does not pay.
+func (r *recorder) encode(prev *pageVersion, old, cur *[pageSize]byte) *pageVersion {
+	if prev != nil && prev.depth+1 < keyframeEvery {
+		r.scratch = appendDelta(r.scratch[:0], old, cur)
+		if len(r.scratch) < pageSize/2 {
+			return &pageVersion{prev: prev, runs: slices.Clone(r.scratch), depth: prev.depth + 1}
+		}
+	}
+	full := new([pageSize]byte)
+	*full = *cur
+	return &pageVersion{full: full}
+}
+
+// rechain re-encodes every page's chain after thinning so that it runs
+// only through versions a surviving checkpoint (or the next delta)
+// still references: each kept version becomes a delta against the
+// previous kept one, or a keyframe, and the dropped versions become
+// garbage. Walking a page's history in order rebuilds each image from
+// the old encoding before that version is re-encoded.
+func (r *recorder) rechain() {
+	kept := make(map[*pageVersion]bool)
+	for _, s := range r.snaps {
+		for _, v := range s.pages {
+			kept[v] = true
+		}
+	}
+	for _, v := range r.latest {
+		kept[v] = true
+	}
+	var img, prevImg [pageSize]byte
+	for pn, hist := range r.hist {
+		var last *pageVersion
+		live := hist[:0]
+		for _, v := range hist {
+			if v.full != nil {
+				img = *v.full
+			} else {
+				applyDelta(&img, v.runs)
+			}
+			if !kept[v] {
+				continue
+			}
+			*v = *r.encode(last, &prevImg, &img)
+			prevImg, last = img, v
+			live = append(live, v)
+		}
+		clear(hist[len(live):])
+		r.hist[pn] = live
 	}
 }
 
@@ -214,7 +356,9 @@ func Record(p *isa.Program, cfg Config, opt RecordOptions, mark ...bool) (*Recor
 		next:     opt.Interval,
 		maxSnaps: opt.MaxSnapshots,
 		written:  make([]uint64, len(m.dirty)),
-		cum:      make(map[uint32]*[pageSize]byte),
+		latest:   make(map[uint32]*pageVersion),
+		image:    make(map[uint32]*[pageSize]byte),
+		hist:     make(map[uint32][]*pageVersion),
 	}
 	// The data-segment copy is in the base image, not in any checkpoint.
 	copy(rec.written, m.dirty)

@@ -4,6 +4,8 @@ import (
 	"container/list"
 	"fmt"
 	"sync"
+
+	"etap/internal/campaign"
 )
 
 // Lab is a session cache for compiled systems: it memoizes Build and
@@ -11,25 +13,31 @@ import (
 // callers — a characterization service, a sweep over many inputs, a test
 // harness — never recompile or re-analyze the same program twice.
 // Systems and HardenedSystems are immutable after construction and safe
-// to share; campaign construction (which records a golden pass per
-// input) stays with the caller.
+// to share. The characterization service also keeps its campaign
+// engines here, one per (system, input, mode, score) key, so a repeated
+// job skips the golden pass; campaigns built through the public API
+// stay with their caller.
 //
 // A Lab is safe for concurrent use. Concurrent requests for the same key
 // block on one build; requests for different keys build in parallel.
 //
-// The cache is bounded: once it holds Capacity distinct keys, inserting
-// a new one evicts the least-recently-used entry (failed builds are
-// cached and evicted the same way). Eviction never breaks callers
-// already waiting on an entry — they keep their result; the key is
-// simply rebuilt on its next miss.
+// The cache is bounded: once it holds Capacity distinct keys, systems
+// and engines alike, inserting a new one evicts the least-recently-used
+// entry (failed builds are cached and evicted the same way). Eviction
+// never breaks callers already waiting on an entry — they keep their
+// result; the key is simply rebuilt on its next miss.
 type Lab struct {
-	mu        sync.Mutex
-	entries   map[labKey]*labEntry
-	order     *list.List // front = most recently used; values are labKey
-	capacity  int
-	builds    int64
-	hits      int64
-	evictions int64
+	mu       sync.Mutex
+	entries  map[labKey]*labEntry
+	order    *list.List // front = most recently used; values are labKey
+	capacity int
+	systems  labCounts // Build and Harden entries
+	engines  labCounts // campaign-engine entries
+}
+
+// labCounts is one entry kind's cache accounting.
+type labCounts struct {
+	builds, hits, evictions int64
 }
 
 // DefaultLabCapacity is the entry bound NewLab applies.
@@ -40,12 +48,30 @@ type labKey struct {
 	policy   Policy
 	hardened bool
 	harden   HardenOptions
+	// Campaign-engine entries only: what the engine injects into, its
+	// input, and the benchmark whose fidelity measure grades its trials
+	// ("" for bit-exact grading).
+	mode  engineMode
+	input string
+	score string
 }
+
+// engineMode is what a cached campaign engine injects into; the zero
+// value marks a Build or Harden entry.
+type engineMode uint8
+
+const (
+	notEngine engineMode = iota
+	engineProtected
+	engineUnprotected
+	engineDetection
+)
 
 type labEntry struct {
 	once sync.Once
 	sys  *System
 	hard *HardenedSystem
+	eng  *campaign.Engine
 	err  error
 	elem *list.Element
 }
@@ -67,11 +93,19 @@ func NewLabCapacity(capacity int) *Lab {
 	}
 }
 
+// counts is the accounting of key's entry kind. Callers hold l.mu.
+func (l *Lab) counts(key labKey) *labCounts {
+	if key.mode != notEngine {
+		return &l.engines
+	}
+	return &l.systems
+}
+
 func (l *Lab) entry(key labKey) *labEntry {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if e, ok := l.entries[key]; ok {
-		l.hits++
+		l.counts(key).hits++
 		l.order.MoveToFront(e.elem)
 		return e
 	}
@@ -84,18 +118,26 @@ func (l *Lab) entry(key labKey) *labEntry {
 			evict := back.Value.(labKey)
 			l.order.Remove(back)
 			delete(l.entries, evict)
-			l.evictions++
+			l.counts(evict).evictions++
 		}
 	}
 	return e
 }
 
+// countBuild records one paid miss of key's entry kind.
+func (l *Lab) countBuild(key labKey) {
+	l.mu.Lock()
+	l.counts(key).builds++
+	l.mu.Unlock()
+}
+
 // Build compiles and analyzes source under policy, or returns the cached
 // System from an earlier call with the same key.
 func (l *Lab) Build(source string, policy Policy) (*System, error) {
-	e := l.entry(labKey{source: source, policy: policy})
+	key := labKey{source: source, policy: policy}
+	e := l.entry(key)
 	e.once.Do(func() {
-		l.countBuild()
+		l.countBuild(key)
 		e.sys, e.err = Build(source, policy)
 	})
 	return e.sys, e.err
@@ -115,21 +157,39 @@ func (l *Lab) BuildBenchmark(name string, policy Policy) (*System, error) {
 // first use. The base compile is shared with Build: hardening a source
 // the Lab already built reuses the analysis instead of recompiling.
 func (l *Lab) Harden(source string, policy Policy, opts HardenOptions) (*HardenedSystem, error) {
-	e := l.entry(labKey{source: source, policy: policy, hardened: true, harden: opts})
+	key := labKey{source: source, policy: policy, hardened: true, harden: opts}
+	e := l.entry(key)
 	e.once.Do(func() {
 		sys, err := l.Build(source, policy)
 		if err != nil {
 			e.err = err
 			return
 		}
-		l.countBuild()
+		l.countBuild(key)
 		e.hard, e.err = sys.Harden(opts)
 	})
 	return e.hard, e.err
 }
 
-// Len reports how many distinct (source, policy, harden) keys the Lab
-// has cached, counting entries that failed to build.
+// engine returns the campaign engine cached under key (an engine key:
+// mode set), building it with build on the first request; reused
+// reports whether the call found it rather than building it. build must
+// construct exactly what key names, Score and DetectClass included: the
+// engine is shared by every later caller, so nobody may change it once
+// build returns.
+func (l *Lab) engine(key labKey, build func() (*campaign.Engine, error)) (eng *campaign.Engine, reused bool, err error) {
+	e := l.entry(key)
+	reused = true
+	e.once.Do(func() {
+		reused = false
+		l.countBuild(key)
+		e.eng, e.err = build()
+	})
+	return e.eng, reused, e.err
+}
+
+// Len reports how many distinct keys the Lab has cached — systems and
+// campaign engines — counting entries that failed to build.
 func (l *Lab) Len() int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -143,7 +203,7 @@ func (l *Lab) Len() int {
 func (l *Lab) Builds() int64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.builds
+	return l.systems.builds
 }
 
 // Hits reports how many entry lookups were served from cache (the
@@ -152,18 +212,37 @@ func (l *Lab) Builds() int64 {
 func (l *Lab) Hits() int64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.hits
+	return l.systems.hits
 }
 
-// Evictions reports how many entries the LRU bound has discarded.
+// Evictions reports how many system entries the LRU bound has
+// discarded.
 func (l *Lab) Evictions() int64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.evictions
+	return l.systems.evictions
 }
 
-func (l *Lab) countBuild() {
+// EngineBuilds reports how many campaign engines the Lab has built —
+// golden passes paid for, not served from cache.
+func (l *Lab) EngineBuilds() int64 {
 	l.mu.Lock()
-	l.builds++
-	l.mu.Unlock()
+	defer l.mu.Unlock()
+	return l.engines.builds
+}
+
+// EngineHits reports how many campaign-engine lookups found their
+// engine cached (or being built by another caller).
+func (l *Lab) EngineHits() int64 {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.engines.hits
+}
+
+// EngineEvictions reports how many campaign engines the LRU bound has
+// discarded.
+func (l *Lab) EngineEvictions() int64 {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.engines.evictions
 }

@@ -1,9 +1,14 @@
 package etap
 
 import (
+	"bytes"
+	"context"
+	"encoding/json"
 	"fmt"
 	"sync"
 	"testing"
+
+	"etap/internal/server"
 )
 
 // labSources returns n distinct compilable programs, so each occupies
@@ -129,5 +134,85 @@ func TestLabBuildsCounter(t *testing.T) {
 	}
 	if got := lab.Builds(); got != 2 {
 		t.Fatalf("harden over a cached base paid %d builds, want 2", got)
+	}
+}
+
+// sweepReport runs one sweep job on s without the HTTP layer and
+// returns its report's JSON.
+func sweepReport(t *testing.T, s *Server, req server.SubmitRequest) []byte {
+	t.Helper()
+	rep, err := s.runSweepJob(context.Background(), &req, func(server.TrialEvent) {})
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := json.Marshal(rep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+// TestEngineReuseScoreIdentity: a source job whose text and input equal
+// a registered benchmark's gets its own engine, graded bit-exactly, not
+// the benchmark job's engine with the benchmark's fidelity measure.
+func TestEngineReuseScoreIdentity(t *testing.T) {
+	lab := NewLab()
+	s, err := NewServer(WithServeLab(lab), WithServeWorkers(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	b, _ := BenchmarkByName("adpcm")
+	sweepReport(t, s, server.SubmitRequest{Benchmark: "adpcm", Errors: []int{1}, Trials: 2})
+	sweepReport(t, s, server.SubmitRequest{Source: b.Source(), Input: string(b.Input()), Errors: []int{1}, Trials: 2})
+	if got := lab.EngineBuilds(); got != 2 {
+		t.Fatalf("benchmark and equal-source jobs built %d engines, want 2", got)
+	}
+	if got := lab.EngineHits(); got != 0 {
+		t.Fatalf("equal-source job hit the benchmark's engine (%d hits)", got)
+	}
+	lab.mu.Lock()
+	defer lab.mu.Unlock()
+	for key, e := range lab.entries {
+		if key.mode == notEngine {
+			continue
+		}
+		if scored := e.eng.Score != nil; scored != (key.score == "adpcm") {
+			t.Fatalf("engine for score %q has a fidelity measure: %v", key.score, scored)
+		}
+	}
+}
+
+// TestEngineReuseEviction: an engine the LRU bound evicted is rebuilt
+// on its next request, the build counter counts the rebuild, and the
+// rebuilt engine serves the same report.
+func TestEngineReuseEviction(t *testing.T) {
+	lab := NewLabCapacity(2)
+	s, err := NewServer(WithServeLab(lab), WithServeWorkers(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	unprotected := false
+	job := func(src string) server.SubmitRequest {
+		return server.SubmitRequest{Source: src, Input: "x", Protected: &unprotected, Errors: []int{1}, Trials: 4}
+	}
+	srcs := labSources(2)
+	first := sweepReport(t, s, job(srcs[0]))
+	sweepReport(t, s, job(srcs[1]))
+	again := sweepReport(t, s, job(srcs[0]))
+	// Each job's system and engine push the previous job's out of the
+	// two-entry Lab, so all three jobs build.
+	if got := lab.EngineBuilds(); got != 3 {
+		t.Fatalf("Lab built %d engines, want 3", got)
+	}
+	if got := lab.EngineEvictions(); got != 2 {
+		t.Fatalf("Lab evicted %d engines, want 2", got)
+	}
+	if got := lab.EngineHits(); got != 0 {
+		t.Fatalf("Lab counted %d engine hits, want 0", got)
+	}
+	if !bytes.Equal(first, again) {
+		t.Fatalf("rebuilt engine served a different report:\n%s\nvs\n%s", first, again)
 	}
 }

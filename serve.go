@@ -23,8 +23,10 @@ import (
 // the final Report as JSON (byte-identical to WriteReportsJSON of a
 // direct run), CSV or text. Jobs run on a bounded worker pool; every
 // submission shares one Lab, so identical (source, policy, harden) keys
-// compile exactly once. docs/SERVE.md documents the endpoints and the
-// SSE event schema.
+// compile exactly once, and a sweep job whose (system, input, mode,
+// score) ran before reuses that job's campaign engine instead of
+// repeating the golden pass. docs/SERVE.md documents the endpoints and
+// the SSE event schema.
 type Server struct {
 	inner  *server.Server
 	lab    *Lab
@@ -158,10 +160,13 @@ func NewServer(opts ...ServeOption) (*Server, error) {
 		Stats: func() map[string]any {
 			return map[string]any{
 				"lab": map[string]any{
-					"entries":   s.lab.Len(),
-					"builds":    s.lab.Builds(),
-					"hits":      s.lab.Hits(),
-					"evictions": s.lab.Evictions(),
+					"entries":          s.lab.Len(),
+					"builds":           s.lab.Builds(),
+					"hits":             s.lab.Hits(),
+					"evictions":        s.lab.Evictions(),
+					"engine_builds":    s.lab.EngineBuilds(),
+					"engine_hits":      s.lab.EngineHits(),
+					"engine_evictions": s.lab.EngineEvictions(),
 				},
 			}
 		},
@@ -182,7 +187,7 @@ func NewServer(opts ...ServeOption) (*Server, error) {
 func registerLabMetrics(l *Lab) {
 	r := obs.Default()
 	r.GaugeFunc("etap_lab_entries",
-		"Distinct (source, policy, harden) keys cached in the serving Lab.",
+		"Distinct keys (systems and campaign engines) cached in the serving Lab.",
 		func() float64 { return float64(l.Len()) })
 	r.CounterFunc("etap_lab_builds_total",
 		"Cache misses the serving Lab paid for: compiles plus harden rewrites.",
@@ -191,8 +196,17 @@ func registerLabMetrics(l *Lab) {
 		"Lab lookups served from cache.",
 		func() float64 { return float64(l.Hits()) })
 	r.CounterFunc("etap_lab_evictions_total",
-		"Lab entries discarded by the LRU bound.",
+		"Lab system entries discarded by the LRU bound.",
 		func() float64 { return float64(l.Evictions()) })
+	r.CounterFunc("etap_lab_engine_builds_total",
+		"Campaign engines the serving Lab built: golden passes paid for.",
+		func() float64 { return float64(l.EngineBuilds()) })
+	r.CounterFunc("etap_lab_engine_hits_total",
+		"Sweep jobs that took a cached campaign engine from the serving Lab.",
+		func() float64 { return float64(l.EngineHits()) })
+	r.CounterFunc("etap_lab_engine_evictions_total",
+		"Campaign engines discarded by the Lab's LRU bound.",
+		func() float64 { return float64(l.EngineEvictions()) })
 }
 
 // Handler is the service's HTTP surface, mountable under any mux.
@@ -368,19 +382,19 @@ func (s *Server) runExperimentJob(ctx context.Context, req *server.SubmitRequest
 	return e.Run(ctx, opts...)
 }
 
-// runSweepJob characterizes one benchmark or ad-hoc source: build (a
-// Lab cache hit after prepare), set up the campaign, sweep the error
-// counts, and fold the points into the characterize Report. A cancelled
-// context stops between trials and returns the partial report alongside
-// ctx.Err(), so the manager persists the partial aggregates.
+// runSweepJob characterizes one benchmark or ad-hoc source: take the
+// job's campaign engine from the Lab (its golden pass runs only on the
+// first job of a key), sweep the error counts, and fold the points into
+// the characterize Report. A cancelled context stops between trials and
+// returns the partial report alongside ctx.Err(), so the manager
+// persists the partial aggregates.
 func (s *Server) runSweepJob(ctx context.Context, req *server.SubmitRequest, progress func(server.TrialEvent)) (*exp.Report, error) {
 	policy, err := resolvePolicy(req.Policy)
 	if err != nil {
 		return nil, err
 	}
 	subject := "source"
-	source := req.Source
-	input := []byte(req.Input)
+	key := labKey{source: req.Source, policy: policy, input: req.Input}
 	var score func(golden, corrupted []byte) (float64, bool)
 	if req.Benchmark != "" {
 		b, ok := BenchmarkByName(req.Benchmark)
@@ -388,47 +402,54 @@ func (s *Server) runSweepJob(ctx context.Context, req *server.SubmitRequest, pro
 			return nil, reqErr("invalid_job", "unknown benchmark %q", req.Benchmark)
 		}
 		subject = b.Name()
-		source = b.Source()
-		input = b.Input()
+		key.source, key.input, key.score = b.Source(), string(b.Input()), b.Name()
 		score = b.Score
 	}
 
 	// The Lab lookup (a cache hit after prepare) and the campaign setup
-	// (the golden pass) each get a span, so job.run's time is accounted
-	// for layer by layer.
+	// (the golden pass, or a Lab hit on its engine) each get a span, so
+	// job.run's time is accounted for layer by layer.
 	mode := "protected"
 	var newCampaign func() (*Campaign, error)
 	_, labSpan := obstrace.Start(ctx, "lab.build")
 	switch {
 	case req.Harden != nil:
 		mode = "hardened (detection campaign)"
+		key.mode, key.hardened = engineDetection, true
+		key.harden = HardenOptions{DupCompare: req.Harden.DupCompare, Signatures: req.Harden.Signatures}
 		var h *HardenedSystem
-		h, err = s.lab.Harden(source, policy, HardenOptions{
-			DupCompare: req.Harden.DupCompare,
-			Signatures: req.Harden.Signatures,
-		})
-		newCampaign = func() (*Campaign, error) { return h.NewDetectionCampaign(input) }
+		h, err = s.lab.Harden(key.source, policy, key.harden)
+		newCampaign = func() (*Campaign, error) { return h.NewDetectionCampaign([]byte(key.input)) }
 	default:
 		protected := req.Protected == nil || *req.Protected
+		key.mode = engineProtected
 		if !protected {
 			mode = "unprotected"
+			key.mode = engineUnprotected
 		}
 		var sys *System
-		sys, err = s.lab.Build(source, policy)
-		newCampaign = func() (*Campaign, error) { return sys.NewCampaign(input, protected) }
+		sys, err = s.lab.Build(key.source, policy)
+		newCampaign = func() (*Campaign, error) { return sys.NewCampaign([]byte(key.input), protected) }
 	}
 	labSpan.End()
 	if err != nil {
 		return nil, err
 	}
 	_, campSpan := obstrace.Start(ctx, "campaign.new")
-	camp, err := newCampaign()
+	eng, reused, err := s.lab.engine(key, func() (*campaign.Engine, error) {
+		camp, err := newCampaign()
+		if err != nil {
+			return nil, err
+		}
+		if score != nil {
+			camp.SetScore(score)
+		}
+		return camp.c, nil
+	})
+	campSpan.SetAttr(obstrace.Bool("reused", reused))
 	campSpan.End()
 	if err != nil {
 		return nil, err
-	}
-	if score != nil {
-		camp.SetScore(score)
 	}
 
 	sweep := req.Errors
@@ -437,7 +458,7 @@ func (s *Server) runSweepJob(ctx context.Context, req *server.SubmitRequest, pro
 	}
 	tmpl := applyOptions(campaignOptions(req)).point(0)
 	pts := campaign.ErrorPoints(tmpl, sweep)
-	points := camp.c.Sweep(ctx, pts, func(i, trial int, tr campaign.Trial) {
+	points := eng.Sweep(ctx, pts, func(i, trial int, tr campaign.Trial) {
 		progress(server.TrialEvent{
 			Point:        i,
 			Errors:       pts[i].Errors,
