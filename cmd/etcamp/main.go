@@ -37,8 +37,6 @@ import (
 	"etap/internal/campaign"
 	"etap/internal/core"
 	"etap/internal/exp"
-	"etap/internal/minic"
-	"etap/internal/sim"
 	"etap/internal/termprog"
 	"etap/internal/version"
 )
@@ -60,17 +58,13 @@ type usageError string
 func (e usageError) Error() string { return string(e) }
 
 type options struct {
-	apps      []apps.App
-	modes     []string
-	errors    []int
-	trials    int
-	minTrials int
-	ciWidth   float64
-	workers   int
-	seed      int64
-	policy    core.Policy
-	format    string
-	outFile   string
+	apps    []apps.App
+	modes   []campaign.Mode
+	errors  []int
+	point   campaign.Point // every point's template; Errors comes from errors
+	policy  core.Policy
+	format  string
+	outFile string
 }
 
 func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
@@ -97,17 +91,23 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	}
 
 	opt := options{
-		trials:    *trials,
-		minTrials: *minTrials,
-		ciWidth:   *ciWidth,
-		workers:   *workers,
-		seed:      *seed,
-		format:    *format,
-		outFile:   *outFile,
+		point: campaign.Point{
+			HiBit:     31,
+			MaxTrials: *trials,
+			MinTrials: *minTrials,
+			StopWidth: *ciWidth,
+			Seed:      *seed,
+			Workers:   *workers,
+		},
+		format:  *format,
+		outFile: *outFile,
 	}
 	var err error
-	if opt.apps, err = parseApps(*appFlag); err != nil {
-		return err
+	if *appFlag == "" {
+		return usageError("missing -app (try -app all)")
+	}
+	if opt.apps, err = all.Parse(*appFlag); err != nil {
+		return usageError(err.Error())
 	}
 	if opt.modes, err = parseModes(*modeFlag); err != nil {
 		return err
@@ -124,7 +124,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	default:
 		return usageError(fmt.Sprintf("unknown -format %q (have text, json, csv)", opt.format))
 	}
-	if opt.trials <= 0 {
+	if *trials <= 0 {
 		return usageError("-trials must be positive")
 	}
 
@@ -169,24 +169,12 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 // serves for a benchmark job.
 func runCampaigns(ctx context.Context, opt options, stderr io.Writer) ([]*exp.Report, error) {
 	var reports []*exp.Report
-	tmpl := campaign.Point{
-		HiBit:     31,
-		MaxTrials: opt.trials,
-		MinTrials: opt.minTrials,
-		StopWidth: opt.ciWidth,
-		Seed:      opt.seed,
-		Workers:   opt.workers,
-	}
-	pts := campaign.ErrorPoints(tmpl, opt.errors)
+	pts := campaign.ErrorPoints(opt.point, opt.errors)
 	for _, a := range opt.apps {
 		if ctx.Err() != nil {
 			break
 		}
-		prog, err := minic.Build(a.Source())
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", a.Name(), err)
-		}
-		rep, err := core.Analyze(prog, opt.policy)
+		sub, err := campaign.NewSubject(a.Source(), opt.policy, nil)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", a.Name(), err)
 		}
@@ -194,20 +182,15 @@ func runCampaigns(ctx context.Context, opt options, stderr io.Writer) ([]*exp.Re
 			if ctx.Err() != nil {
 				break
 			}
-			eligible := rep.Tagged
-			if mode == "unprotected" {
-				eligible = core.EligibleAll(prog)
-			}
-			eng, err := campaign.New(prog, eligible, sim.Config{Input: a.Input()}, campaign.Config{})
+			eng, err := sub.Engine(mode, a.Input(), apps.Scorer(a), campaign.Config{})
 			if err != nil {
 				return nil, fmt.Errorf("%s (%s): %w", a.Name(), mode, err)
 			}
-			eng.Score = apps.Scorer(a)
 			fmt.Fprintf(stderr, "[%s/%s] golden pass: %d instructions, %d checkpoints, %.1f%% eligible\n",
 				a.Name(), mode, eng.Clean.Instret, eng.Checkpoints(), 100*eng.EligibleFraction())
 			prog := termprog.New(stderr)
 			points := eng.Sweep(ctx, pts, func(i, trial int, tr campaign.Trial) {
-				prog.Printf("[%s/%s] errors=%d trial %d/%d", a.Name(), mode, pts[i].Errors, trial+1, opt.trials)
+				prog.Printf("[%s/%s] errors=%d trial %d/%d", a.Name(), mode, pts[i].Errors, trial+1, opt.point.MaxTrials)
 			})
 			prog.Clear()
 			for _, p := range points {
@@ -221,29 +204,21 @@ func runCampaigns(ctx context.Context, opt options, stderr io.Writer) ([]*exp.Re
 				fmt.Fprintf(stderr, "[%s/%s] errors=%d trials=%d fail=%.1f%% [%.1f, %.1f] accept=%.1f%%%s\n",
 					a.Name(), mode, p.Errors, p.Trials, p.FailPct, p.FailLowPct, p.FailHighPct, p.AcceptPct, note)
 			}
-			reports = append(reports, exp.Characterize(a.Name(), mode, opt.policy.String(), tmpl, points))
+			reports = append(reports, exp.Characterize(a.Name(), mode.String(), opt.policy.String(), opt.point, points))
 		}
 	}
 	return reports, nil
 }
 
-func parseApps(s string) ([]apps.App, error) {
-	if s == "" {
-		return nil, usageError("missing -app (try -app all)")
+func parseModes(s string) ([]campaign.Mode, error) {
+	both := []campaign.Mode{campaign.Protected, campaign.Unprotected}
+	if s == "both" {
+		return both, nil
 	}
-	sel, err := all.Parse(s)
-	if err != nil {
-		return nil, usageError(err.Error())
-	}
-	return sel, nil
-}
-
-func parseModes(s string) ([]string, error) {
-	switch s {
-	case "protected", "unprotected":
-		return []string{s}, nil
-	case "both":
-		return []string{"protected", "unprotected"}, nil
+	for _, m := range both {
+		if m.String() == s {
+			return []campaign.Mode{m}, nil
+		}
 	}
 	return nil, usageError(fmt.Sprintf("unknown -mode %q (have protected, unprotected, both)", s))
 }

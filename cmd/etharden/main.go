@@ -134,20 +134,18 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 			if ctx.Err() != nil {
 				break
 			}
-			rep, err := core.Analyze(prog, pol)
+			sub, err := campaign.Analyze(prog, pol)
+			if err == nil {
+				sub, err = sub.Harden(opts)
+			}
 			if err != nil {
 				return fmt.Errorf("%s (%s): %w", a.Name(), pol, err)
 			}
-			res, err := harden.Harden(rep, opts)
+			eng, err := sub.Engine(campaign.Detection, a.Input(), nil, campaign.Config{})
 			if err != nil {
 				return fmt.Errorf("%s (%s): %w", a.Name(), pol, err)
 			}
-
-			eng, err := campaign.New(res.Prog, res.PrimaryProtected, sim.Config{Input: a.Input()}, campaign.Config{})
-			if err != nil {
-				return fmt.Errorf("%s (%s): %w", a.Name(), pol, err)
-			}
-			eng.DetectClass = func(pc int) string { return res.CheckKindAt(pc).String() }
+			res := sub.Hardened
 
 			// Differential gate: the hardened program must be a faithful
 			// compile of the original before its coverage means anything.

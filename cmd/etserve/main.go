@@ -56,7 +56,7 @@ func run(ctx context.Context, args []string, stderr io.Writer) error {
 	workers := fs.Int("workers", 0, "concurrent campaign workers (0 = GOMAXPROCS)")
 	queue := fs.Int("queue", 0, "queued-job bound before submissions get 503 (0 = 64)")
 	state := fs.String("state", "", "persist the job table to this JSON file (restart-safe)")
-	labCapacity := fs.Int("lab-capacity", etap.DefaultLabCapacity, "compile-cache entries before LRU eviction (<= 0 = unbounded)")
+	labCapacity := fs.Int("lab-capacity", etap.DefaultLabCapacity, "Lab entries (compiled systems and campaign engines together) before LRU eviction (<= 0 = unbounded)")
 	maxJobs := fs.Int("max-jobs", 0, "job-table bound; oldest finished jobs evict past it (0 = 1024, < 0 = unbounded)")
 	pprofFlag := fs.Bool("pprof", false, "mount /debug/pprof/ (exposes internals; keep off on public deployments)")
 	otlp := fs.String("otlp", "", "push sampled traces to this OTLP/HTTP JSON collector (e.g. http://collector:4318)")

@@ -98,15 +98,14 @@ func run(progFile, inFile string, maxInstr uint64, errors int, seed int64, unpro
 	if errors <= 0 {
 		return sim.Run(prog, sim.Config{Input: input, MaxInstr: maxInstr}), nil
 	}
-	var eligible []bool
-	if unprotected {
-		eligible = core.EligibleAll(prog)
-	} else {
-		rep, aerr := core.Analyze(prog, pol)
-		if aerr != nil {
-			return sim.Result{}, aerr
+	// An unprotected campaign needs no analysis, so hand-written
+	// assembly the CFG builder rejects still runs.
+	sub, mode := &campaign.Subject{Prog: prog}, campaign.Unprotected
+	if !unprotected {
+		if sub, err = campaign.Analyze(prog, pol); err != nil {
+			return sim.Result{}, err
 		}
-		eligible = rep.Tagged
+		mode = campaign.Protected
 	}
 	if maxInstr != 0 {
 		// -max bounds the clean run: a program that cannot finish within
@@ -115,7 +114,7 @@ func run(progFile, inFile string, maxInstr uint64, errors int, seed int64, unpro
 			return sim.Result{}, fmt.Errorf("clean run did not complete: %s (budget -max %d)", clean.Outcome, maxInstr)
 		}
 	}
-	eng, err := campaign.New(prog, eligible, sim.Config{Input: input}, campaign.Config{})
+	eng, err := sub.Engine(mode, input, nil, campaign.Config{})
 	if err != nil {
 		return sim.Result{}, err
 	}

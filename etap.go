@@ -42,7 +42,6 @@ import (
 	"etap/internal/core"
 	"etap/internal/harden"
 	"etap/internal/isa"
-	"etap/internal/minic"
 	"etap/internal/sim"
 )
 
@@ -173,8 +172,7 @@ type AnalysisStats struct {
 
 // System is a compiled and analyzed program.
 type System struct {
-	prog   *isa.Program
-	report *core.Report
+	sub *campaign.Subject
 }
 
 // Build compiles MiniC source and runs the control-data analysis under the
@@ -182,20 +180,16 @@ type System struct {
 // `tolerant` qualifier; only instructions inside those functions can be
 // tagged low-reliability.
 func Build(source string, policy Policy) (*System, error) {
-	prog, err := minic.Build(source)
+	sub, err := campaign.NewSubject(source, toCore(policy), nil)
 	if err != nil {
 		return nil, err
 	}
-	rep, err := core.Analyze(prog, toCore(policy))
-	if err != nil {
-		return nil, err
-	}
-	return &System{prog: prog, report: rep}, nil
+	return &System{sub: sub}, nil
 }
 
 // Stats returns the static analysis summary.
 func (s *System) Stats() AnalysisStats {
-	st := s.report.Stats()
+	st := s.sub.Report.Stats()
 	return AnalysisStats{
 		TextInstructions:   st.TextInstrs,
 		TaggedStatic:       st.TaggedStatic,
@@ -211,16 +205,16 @@ func (s *System) Stats() AnalysisStats {
 func (s *System) Listing() string {
 	var b strings.Builder
 	labels := make(map[int][]string)
-	for name, idx := range s.prog.Symbols {
+	for name, idx := range s.sub.Prog.Symbols {
 		labels[idx] = append(labels[idx], name)
 	}
 	for _, names := range labels {
 		sort.Strings(names)
 	}
 	fi := 0
-	for idx, in := range s.prog.Text {
-		for fi < len(s.prog.Funcs) && s.prog.Funcs[fi].Start == idx {
-			f := s.prog.Funcs[fi]
+	for idx, in := range s.sub.Prog.Text {
+		for fi < len(s.sub.Prog.Funcs) && s.sub.Prog.Funcs[fi].Start == idx {
+			f := s.sub.Prog.Funcs[fi]
 			attr := ""
 			if f.Tolerant {
 				attr = " tolerant"
@@ -230,19 +224,19 @@ func (s *System) Listing() string {
 		}
 		mark := ' '
 		switch {
-		case s.report.Tagged[idx]:
+		case s.sub.Report.Tagged[idx]:
 			mark = 'T'
-		case s.report.ControlSlice[idx]:
+		case s.sub.Report.ControlSlice[idx]:
 			mark = 'C'
 		}
-		fmt.Fprintf(&b, "%6d  %c  %-32s %s\n", idx, mark, isa.Disasm(in), s.report.CVarIn[idx])
+		fmt.Fprintf(&b, "%6d  %c  %-32s %s\n", idx, mark, isa.Disasm(in), s.sub.Report.CVarIn[idx])
 	}
 	return b.String()
 }
 
 // Run executes the program once without fault injection.
 func (s *System) Run(input []byte) RunResult {
-	return fromSim(sim.Run(s.prog, sim.Config{Input: input}))
+	return fromSim(sim.Run(s.sub.Prog, sim.Config{Input: input}))
 }
 
 // RunLimited is Run with an instruction budget: a run retiring more
@@ -251,7 +245,7 @@ func (s *System) Run(input []byte) RunResult {
 // A maxInstr of zero selects the simulator's default budget (2^32),
 // the same bound Run applies.
 func (s *System) RunLimited(input []byte, maxInstr uint64) RunResult {
-	return fromSim(sim.Run(s.prog, sim.Config{Input: input, MaxInstr: maxInstr}))
+	return fromSim(sim.Run(s.sub.Prog, sim.Config{Input: input, MaxInstr: maxInstr}))
 }
 
 // HardenOptions selects the software protection transforms System.Harden
@@ -281,8 +275,6 @@ func DefaultHardenOptions() HardenOptions {
 // relative to the original program.
 type HardenedSystem struct {
 	*System
-	base *System
-	res  *harden.Result
 
 	// overheadMu guards overheads, the per-input cache of fault-free
 	// instruction counts DynamicOverhead compares. Both runs are
@@ -303,24 +295,16 @@ type overheadRuns struct {
 // campaigns on the hardened system count such trials separately from
 // completions and catastrophic failures.
 func (s *System) Harden(opts HardenOptions) (*HardenedSystem, error) {
-	res, err := harden.Harden(s.report, harden.Options(opts))
+	sub, err := s.sub.Harden(harden.Options(opts))
 	if err != nil {
 		return nil, err
 	}
-	rep, err := core.Analyze(res.Prog, s.report.Policy)
-	if err != nil {
-		return nil, fmt.Errorf("etap: hardened program failed re-analysis: %w", err)
-	}
-	return &HardenedSystem{
-		System: &System{prog: res.Prog, report: rep},
-		base:   s,
-		res:    res,
-	}, nil
+	return &HardenedSystem{System: &System{sub: sub}}, nil
 }
 
 // StaticOverhead is the hardened/original static instruction-count
 // ratio.
-func (h *HardenedSystem) StaticOverhead() float64 { return h.res.StaticOverhead() }
+func (h *HardenedSystem) StaticOverhead() float64 { return h.sub.Hardened.StaticOverhead() }
 
 // DynamicOverhead returns the hardened/original dynamic
 // instruction-count ratio for fault-free runs on the input. The two
@@ -337,7 +321,7 @@ func (h *HardenedSystem) DynamicOverhead(input []byte) float64 {
 		// across callers, and a duplicated race costs two identical
 		// deterministic runs, not wrong numbers.
 		runs = overheadRuns{
-			base:     h.base.Run(input).Instructions,
+			base:     sim.Run(h.sub.Hardened.Orig, sim.Config{Input: input}).Instret,
 			hardened: h.Run(input).Instructions,
 		}
 		h.overheadMu.Lock()
@@ -354,15 +338,15 @@ func (h *HardenedSystem) DynamicOverhead(input []byte) float64 {
 }
 
 // ProtectedSites is the number of duplicated control-slice instructions.
-func (h *HardenedSystem) ProtectedSites() int { return h.res.DupSites }
+func (h *HardenedSystem) ProtectedSites() int { return h.sub.Hardened.DupSites }
 
 // MapToOriginal translates a hardened text index to the original
 // instruction it was copied from, or -1 for inserted protection code.
 func (h *HardenedSystem) MapToOriginal(idx int) int {
-	if idx < 0 || idx >= len(h.res.OrigOf) {
+	if idx < 0 || idx >= len(h.sub.Hardened.OrigOf) {
 		return -1
 	}
-	return h.res.OrigOf[idx]
+	return h.sub.Hardened.OrigOf[idx]
 }
 
 // NewDetectionCampaign prepares injections against the primary copies of
@@ -372,15 +356,7 @@ func (h *HardenedSystem) MapToOriginal(idx int) int {
 // timeouts and unacceptable completions are escapes the idealized model
 // pretends cannot happen.
 func (h *HardenedSystem) NewDetectionCampaign(input []byte) (*Campaign, error) {
-	c, err := campaign.New(h.prog, h.res.PrimaryProtected, sim.Config{Input: input}, campaign.Config{})
-	if err != nil {
-		return nil, err
-	}
-	// Attribute each detection to the transform whose trapdet fired, so
-	// latency histograms and trial events split by dup vs cfs.
-	res := h.res
-	c.DetectClass = func(pc int) string { return res.CheckKindAt(pc).String() }
-	return &Campaign{c: c}, nil
+	return h.newCampaign(campaign.Detection, input)
 }
 
 // Campaign is a reusable fault-injection setup for one input, backed by
@@ -397,11 +373,14 @@ type Campaign struct {
 // false, every result-writing arithmetic instruction is exposed — the
 // unchanged application on unreliable hardware.
 func (s *System) NewCampaign(input []byte, protected bool) (*Campaign, error) {
-	eligible := s.report.Tagged
 	if !protected {
-		eligible = core.EligibleAll(s.prog)
+		return s.newCampaign(campaign.Unprotected, input)
 	}
-	c, err := campaign.New(s.prog, eligible, sim.Config{Input: input}, campaign.Config{})
+	return s.newCampaign(campaign.Protected, input)
+}
+
+func (s *System) newCampaign(mode campaign.Mode, input []byte) (*Campaign, error) {
+	c, err := s.sub.Engine(mode, input, nil, campaign.Config{})
 	if err != nil {
 		return nil, err
 	}

@@ -65,29 +65,6 @@ func CheckReference(t *testing.T, app apps.App) {
 	}
 }
 
-// Campaign builds a fault campaign for the app under the experiments'
-// default analysis policy (protection on) or the all-arithmetic mask
-// (protection off).
-func Campaign(t *testing.T, app apps.App, protected bool) *campaign.Engine {
-	t.Helper()
-	prog := Build(t, app)
-	var eligible []bool
-	if protected {
-		rep, err := core.Analyze(prog, core.PolicyControlAddr)
-		if err != nil {
-			t.Fatalf("%s: analyze: %v", app.Name(), err)
-		}
-		eligible = rep.Tagged
-	} else {
-		eligible = core.EligibleAll(prog)
-	}
-	c, err := campaign.New(prog, eligible, sim.Config{Input: app.Input()}, campaign.Config{})
-	if err != nil {
-		t.Fatalf("%s: campaign: %v", app.Name(), err)
-	}
-	return c
-}
-
 // CheckProtectedTolerance runs `trials` protected injections with the
 // paper's error count and asserts that at most maxFailures end
 // catastrophically and that every completed run scores a fidelity value
@@ -95,7 +72,14 @@ func Campaign(t *testing.T, app apps.App, protected bool) *campaign.Engine {
 // as a regression test.
 func CheckProtectedTolerance(t *testing.T, app apps.App, errors, trials, maxFailures int) {
 	t.Helper()
-	c := Campaign(t, app, true)
+	sub, err := campaign.Analyze(Build(t, app), core.PolicyControlAddr)
+	if err != nil {
+		t.Fatalf("%s: analyze: %v", app.Name(), err)
+	}
+	c, err := sub.Engine(campaign.Protected, app.Input(), nil, campaign.Config{})
+	if err != nil {
+		t.Fatalf("%s: campaign: %v", app.Name(), err)
+	}
 	golden := c.Clean.Output
 	failures := 0
 	for seed := int64(1); seed <= int64(trials); seed++ {

@@ -465,13 +465,21 @@ func (c *collector) fold(observe SweepObserver) bool {
 		if observe != nil {
 			observe(c.idx, c.a.trials-1, tr)
 		}
-		if n := c.a.trials; n%c.shardSize == 0 && n < c.pt.MaxTrials && c.pt.StopWidth > 0 &&
-			n >= c.pt.MinTrials && c.a.ciWidth() < c.pt.StopWidth {
+		if stopsEarly(c.pt, c.shardSize, &c.a) {
 			c.stopped.Store(true)
 			return true
 		}
 	}
 	return true
+}
+
+// stopsEarly is the early-stop rule: with a's trials folded, the point
+// stops at a whole shard short of its budget, once past MinTrials, when
+// every reported interval is narrower than StopWidth.
+func stopsEarly(pt Point, shardSize int, a *aggregate) bool {
+	n := a.trials
+	return n%shardSize == 0 && n < pt.MaxTrials && pt.StopWidth > 0 &&
+		n >= pt.MinTrials && a.ciWidth() < pt.StopWidth
 }
 
 // finish settles the point's result. It runs once per collector.

@@ -7,40 +7,12 @@ import (
 	"etap/internal/apps"
 	"etap/internal/apps/all"
 	"etap/internal/campaign"
-	"etap/internal/core"
 	"etap/internal/harden"
-	"etap/internal/minic"
-	"etap/internal/sim"
 )
 
 // availabilityRecoveries is the restore-replay budget per detected trial
 // in the experiment's recovery configuration.
 const availabilityRecoveries = 3
-
-// buildHardenedEngine compiles one benchmark, applies the redundancy
-// transforms and prepares a detection-campaign engine over the primary
-// protected copies, with the app's fidelity scorer attached.
-func buildHardenedEngine(a apps.App, pol core.Policy) (*campaign.Engine, error) {
-	prog, err := minic.Build(a.Source())
-	if err != nil {
-		return nil, fmt.Errorf("exp: %s: %w", a.Name(), err)
-	}
-	rep, err := core.Analyze(prog, pol)
-	if err != nil {
-		return nil, fmt.Errorf("exp: %s: %w", a.Name(), err)
-	}
-	res, err := harden.Harden(rep, harden.Options{DupCompare: true, Signatures: true})
-	if err != nil {
-		return nil, fmt.Errorf("exp: %s (harden): %w", a.Name(), err)
-	}
-	e, err := campaign.New(res.Prog, res.PrimaryProtected, sim.Config{Input: a.Input()}, campaign.Config{})
-	if err != nil {
-		return nil, fmt.Errorf("exp: %s (hardened): %w", a.Name(), err)
-	}
-	e.Score = apps.Scorer(a)
-	e.DetectClass = func(pc int) string { return res.CheckKindAt(pc).String() }
-	return e, nil
-}
 
 // Availability closes the detect→recover loop over every hardened
 // benchmark: single-bit trials against the protected copies, once with
@@ -78,9 +50,13 @@ func Availability(ctx context.Context, opt Options) (*Report, error) {
 		pts[i].Errors, pts[i].MaxRecoveries = 1, maxRec
 	}
 	for _, a := range all.Apps() {
-		e, err := buildHardenedEngine(a, opt.Policy)
+		sub, err := campaign.NewSubject(a.Source(), opt.Policy, &harden.Options{DupCompare: true, Signatures: true})
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("exp: %s: %w", a.Name(), err)
+		}
+		e, err := sub.Engine(campaign.Detection, a.Input(), apps.Scorer(a), campaign.Config{})
+		if err != nil {
+			return nil, fmt.Errorf("exp: %s (hardened): %w", a.Name(), err)
 		}
 		points := opt.sweep(ctx, e, pts)
 		if err := ctx.Err(); err != nil {

@@ -15,8 +15,6 @@ import (
 	"etap/internal/apps"
 	"etap/internal/campaign"
 	"etap/internal/core"
-	"etap/internal/minic"
-	"etap/internal/sim"
 )
 
 // Options controls experiment scale and reproducibility.
@@ -65,30 +63,20 @@ type Built struct {
 // simulated output against the app's pure-Go reference so a toolchain
 // regression cannot silently skew results.
 func Build(app apps.App, pol core.Policy) (*Built, error) {
-	prog, err := minic.Build(app.Source())
+	sub, err := campaign.NewSubject(app.Source(), pol, nil)
 	if err != nil {
 		return nil, fmt.Errorf("exp: %s: %w", app.Name(), err)
 	}
-	rep, err := core.Analyze(prog, pol)
-	if err != nil {
-		return nil, fmt.Errorf("exp: %s: %w", app.Name(), err)
+	engines := make([]*campaign.Engine, 2)
+	for i, mode := range []campaign.Mode{campaign.Protected, campaign.Unprotected} {
+		if engines[i], err = sub.Engine(mode, app.Input(), apps.Scorer(app), campaign.Config{}); err != nil {
+			return nil, fmt.Errorf("exp: %s (%s): %w", app.Name(), mode, err)
+		}
 	}
-	cfg := sim.Config{Input: app.Input()}
-	score := apps.Scorer(app)
-	on, err := campaign.New(prog, rep.Tagged, cfg, campaign.Config{})
-	if err != nil {
-		return nil, fmt.Errorf("exp: %s (protected): %w", app.Name(), err)
-	}
-	on.Score = score
-	off, err := campaign.New(prog, core.EligibleAll(prog), cfg, campaign.Config{})
-	if err != nil {
-		return nil, fmt.Errorf("exp: %s (unprotected): %w", app.Name(), err)
-	}
-	off.Score = score
-	if !bytes.Equal(on.Clean.Output, app.Reference()) {
+	if !bytes.Equal(engines[0].Clean.Output, app.Reference()) {
 		return nil, fmt.Errorf("exp: %s: simulated clean output differs from Go reference", app.Name())
 	}
-	return &Built{Report: rep, On: on, Off: off}, nil
+	return &Built{Report: sub.Report, On: engines[0], Off: engines[1]}, nil
 }
 
 // TaggedDynamicPct is Table 3's "% low reliability instructions": the

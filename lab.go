@@ -2,10 +2,12 @@ package etap
 
 import (
 	"container/list"
+	"context"
 	"fmt"
 	"sync"
 
 	"etap/internal/campaign"
+	obstrace "etap/internal/obs/trace"
 )
 
 // Lab is a session cache for compiled systems: it memoizes Build and
@@ -48,24 +50,14 @@ type labKey struct {
 	policy   Policy
 	hardened bool
 	harden   HardenOptions
-	// Campaign-engine entries only: what the engine injects into, its
-	// input, and the benchmark whose fidelity measure grades its trials
-	// ("" for bit-exact grading).
-	mode  engineMode
-	input string
-	score string
+	// engine marks a campaign-engine entry, the only kind with the fields
+	// below: its Mode, input, and the benchmark whose fidelity measure
+	// grades its trials ("" for bit-exact grading).
+	engine bool
+	mode   campaign.Mode
+	input  string
+	score  string
 }
-
-// engineMode is what a cached campaign engine injects into; the zero
-// value marks a Build or Harden entry.
-type engineMode uint8
-
-const (
-	notEngine engineMode = iota
-	engineProtected
-	engineUnprotected
-	engineDetection
-)
 
 type labEntry struct {
 	once sync.Once
@@ -81,10 +73,11 @@ type labEntry struct {
 func NewLab() *Lab { return NewLabCapacity(DefaultLabCapacity) }
 
 // NewLabCapacity creates an empty session cache holding at most capacity
-// (source, policy, harden) keys, evicting least-recently-used entries
-// beyond that. A capacity of zero or less means unbounded — the pre-LRU
-// behaviour, appropriate only when the key population is known and
-// finite.
+// entries — compiled systems and campaign engines together, each
+// (source, policy, harden) system and each (system, input, mode, score)
+// engine one entry — evicting least-recently-used entries beyond that. A
+// capacity of zero or less means unbounded — the pre-LRU behaviour,
+// appropriate only when the key population is known and finite.
 func NewLabCapacity(capacity int) *Lab {
 	return &Lab{
 		entries:  make(map[labKey]*labEntry),
@@ -95,7 +88,7 @@ func NewLabCapacity(capacity int) *Lab {
 
 // counts is the accounting of key's entry kind. Callers hold l.mu.
 func (l *Lab) counts(key labKey) *labCounts {
-	if key.mode != notEngine {
+	if key.engine {
 		return &l.engines
 	}
 	return &l.systems
@@ -171,21 +164,42 @@ func (l *Lab) Harden(source string, policy Policy, opts HardenOptions) (*Hardene
 	return e.hard, e.err
 }
 
-// engine returns the campaign engine cached under key (an engine key:
-// mode set), building it with build on the first request; reused
-// reports whether the call found it rather than building it. build must
-// construct exactly what key names, Score and DetectClass included: the
-// engine is shared by every later caller, so nobody may change it once
-// build returns.
-func (l *Lab) engine(key labKey, build func() (*campaign.Engine, error)) (eng *campaign.Engine, reused bool, err error) {
+// engine returns the campaign engine an engine key names, building it
+// from the key alone, Score and DetectClass included, on the first
+// request; every later caller shares it unchanged. The key's system
+// comes from the Lab first (a lab.build span), then the engine (a
+// campaign.new span, whose reused attribute says if it was cached).
+func (l *Lab) engine(ctx context.Context, key labKey) (*campaign.Engine, error) {
+	_, labSpan := obstrace.Start(ctx, "lab.build")
+	var sys *System
+	var err error
+	if key.hardened {
+		var h *HardenedSystem
+		if h, err = l.Harden(key.source, key.policy, key.harden); h != nil {
+			sys = h.System
+		}
+	} else {
+		sys, err = l.Build(key.source, key.policy)
+	}
+	labSpan.End()
+	if err != nil {
+		return nil, err
+	}
+	_, span := obstrace.Start(ctx, "campaign.new")
 	e := l.entry(key)
-	reused = true
+	reused := true
 	e.once.Do(func() {
 		reused = false
 		l.countBuild(key)
-		e.eng, e.err = build()
+		var score campaign.ScoreFunc
+		if b, ok := BenchmarkByName(key.score); ok {
+			score = b.Score
+		}
+		e.eng, e.err = sys.sub.Engine(key.mode, []byte(key.input), score, campaign.Config{})
 	})
-	return e.eng, reused, e.err
+	span.SetAttr(obstrace.Bool("reused", reused))
+	span.End()
+	return e.eng, e.err
 }
 
 // Len reports how many distinct keys the Lab has cached — systems and
@@ -200,49 +214,32 @@ func (l *Lab) Len() int {
 // compiles plus harden rewrites performed, not served from cache. In a
 // service sharing one Lab, N concurrent submissions of one key raise it
 // by exactly one.
-func (l *Lab) Builds() int64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.systems.builds
-}
+func (l *Lab) Builds() int64 { return l.read(&l.systems.builds) }
 
 // Hits reports how many entry lookups were served from cache (the
 // complement of Builds over the Lab's lifetime). A Harden call that
 // reuses an already-built base System counts one hit for the base key.
-func (l *Lab) Hits() int64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.systems.hits
-}
+func (l *Lab) Hits() int64 { return l.read(&l.systems.hits) }
 
 // Evictions reports how many system entries the LRU bound has
 // discarded.
-func (l *Lab) Evictions() int64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.systems.evictions
-}
+func (l *Lab) Evictions() int64 { return l.read(&l.systems.evictions) }
 
 // EngineBuilds reports how many campaign engines the Lab has built —
 // golden passes paid for, not served from cache.
-func (l *Lab) EngineBuilds() int64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.engines.builds
-}
+func (l *Lab) EngineBuilds() int64 { return l.read(&l.engines.builds) }
 
 // EngineHits reports how many campaign-engine lookups found their
 // engine cached (or being built by another caller).
-func (l *Lab) EngineHits() int64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.engines.hits
-}
+func (l *Lab) EngineHits() int64 { return l.read(&l.engines.hits) }
 
 // EngineEvictions reports how many campaign engines the LRU bound has
 // discarded.
-func (l *Lab) EngineEvictions() int64 {
+func (l *Lab) EngineEvictions() int64 { return l.read(&l.engines.evictions) }
+
+// read returns one of the Lab's counters.
+func (l *Lab) read(n *int64) int64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.engines.evictions
+	return *n
 }

@@ -174,7 +174,7 @@ func TestEngineReuseScoreIdentity(t *testing.T) {
 	lab.mu.Lock()
 	defer lab.mu.Unlock()
 	for key, e := range lab.entries {
-		if key.mode == notEngine {
+		if !key.engine {
 			continue
 		}
 		if scored := e.eng.Score != nil; scored != (key.score == "adpcm") {

@@ -394,8 +394,7 @@ func (s *Server) runSweepJob(ctx context.Context, req *server.SubmitRequest, pro
 		return nil, err
 	}
 	subject := "source"
-	key := labKey{source: req.Source, policy: policy, input: req.Input}
-	var score func(golden, corrupted []byte) (float64, bool)
+	key := labKey{source: req.Source, policy: policy, engine: true, input: req.Input}
 	if req.Benchmark != "" {
 		b, ok := BenchmarkByName(req.Benchmark)
 		if !ok {
@@ -403,51 +402,15 @@ func (s *Server) runSweepJob(ctx context.Context, req *server.SubmitRequest, pro
 		}
 		subject = b.Name()
 		key.source, key.input, key.score = b.Source(), string(b.Input()), b.Name()
-		score = b.Score
 	}
-
-	// The Lab lookup (a cache hit after prepare) and the campaign setup
-	// (the golden pass, or a Lab hit on its engine) each get a span, so
-	// job.run's time is accounted for layer by layer.
-	mode := "protected"
-	var newCampaign func() (*Campaign, error)
-	_, labSpan := obstrace.Start(ctx, "lab.build")
 	switch {
 	case req.Harden != nil:
-		mode = "hardened (detection campaign)"
-		key.mode, key.hardened = engineDetection, true
+		key.mode, key.hardened = campaign.Detection, true
 		key.harden = HardenOptions{DupCompare: req.Harden.DupCompare, Signatures: req.Harden.Signatures}
-		var h *HardenedSystem
-		h, err = s.lab.Harden(key.source, policy, key.harden)
-		newCampaign = func() (*Campaign, error) { return h.NewDetectionCampaign([]byte(key.input)) }
-	default:
-		protected := req.Protected == nil || *req.Protected
-		key.mode = engineProtected
-		if !protected {
-			mode = "unprotected"
-			key.mode = engineUnprotected
-		}
-		var sys *System
-		sys, err = s.lab.Build(key.source, policy)
-		newCampaign = func() (*Campaign, error) { return sys.NewCampaign([]byte(key.input), protected) }
+	case req.Protected != nil && !*req.Protected:
+		key.mode = campaign.Unprotected
 	}
-	labSpan.End()
-	if err != nil {
-		return nil, err
-	}
-	_, campSpan := obstrace.Start(ctx, "campaign.new")
-	eng, reused, err := s.lab.engine(key, func() (*campaign.Engine, error) {
-		camp, err := newCampaign()
-		if err != nil {
-			return nil, err
-		}
-		if score != nil {
-			camp.SetScore(score)
-		}
-		return camp.c, nil
-	})
-	campSpan.SetAttr(obstrace.Bool("reused", reused))
-	campSpan.End()
+	eng, err := s.lab.engine(ctx, key)
 	if err != nil {
 		return nil, err
 	}
@@ -468,7 +431,7 @@ func (s *Server) runSweepJob(ctx context.Context, req *server.SubmitRequest, pro
 			Shard:        tr.Shard,
 		})
 	})
-	report := exp.Characterize(subject, mode, policy.String(), tmpl, points)
+	report := exp.Characterize(subject, key.mode.String(), policy.String(), tmpl, points)
 	// Report cancellation only when it actually curtailed the sweep: a
 	// cancel landing after the final trial must not relabel a complete
 	// run.
