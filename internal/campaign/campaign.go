@@ -90,11 +90,11 @@ type Engine struct {
 	shardSize int
 
 	// Static injection pruning: the golden pass marks the statically
-	// benign sites (class.Benign), so rec.Marked(o) answers whether
-	// eligible-stream ordinal o strikes one at zero extra passes. class
-	// is nil when pruning is disabled or the program's CFG defeats
-	// classification; pruned counts skipped trials.
-	class  *analysis.Classification
+	// benign sites (analysis.Classification.Benign), so rec.Marked(o)
+	// answers whether eligible-stream ordinal o strikes one at zero extra
+	// passes. prune is false when pruning is disabled or the program's
+	// CFG defeats classification; pruned counts skipped trials.
+	prune  bool
 	pruned atomic.Uint64
 }
 
@@ -125,11 +125,10 @@ func New(p *isa.Program, eligible []bool, simCfg sim.Config, cfg Config) (*Engin
 	// hand-written program whose control flow the CFG builder rejects —
 	// silently disables pruning; the campaign still runs, every trial
 	// simulated.
-	var cls *analysis.Classification
 	var benign []bool
 	if !cfg.DisablePrune {
 		if c, err := analysis.Classify(p); err == nil {
-			cls, benign = c, c.Benign
+			benign = c.Benign
 		}
 	}
 
@@ -151,19 +150,19 @@ func New(p *isa.Program, eligible []bool, simCfg sim.Config, cfg Config) (*Engin
 		Budget:    clean.Instret*16 + 10_000_000,
 		rec:       rec,
 		shardSize: cfg.ShardSize,
-		class:     cls,
+		prune:     benign != nil,
 	}
 	return e, nil
 }
 
 // PruningEnabled reports whether static injection pruning is active.
-func (e *Engine) PruningEnabled() bool { return e.class != nil }
+func (e *Engine) PruningEnabled() bool { return e.prune }
 
 // StaticPruneFraction is the fraction of the clean run's eligible
 // stream that strikes statically benign sites — the share of the
 // single-fault trial space the engine can skip without simulating.
 func (e *Engine) StaticPruneFraction() float64 {
-	if e.class == nil || e.Clean.EligibleExec == 0 {
+	if !e.prune || e.Clean.EligibleExec == 0 {
 		return 0
 	}
 	return float64(e.rec.MarkedExec()) / float64(e.Clean.EligibleExec)
@@ -616,7 +615,7 @@ func (r shardRun) end() {
 func (e *Engine) runTrial(rn *sim.Runner, span *obstrace.Span, j job) Trial {
 	tr := Trial{Outcome: sim.OK, Value: math.NaN(), Instret: e.Clean.Instret, Injected: len(j.plan.Injections), Shard: j.shard}
 	out, detail := e.Clean.Output, obstrace.Bool("pruned", true)
-	if e.class != nil && e.planBenign(j.plan) {
+	if e.prune && e.planBenign(j.plan) {
 		e.pruned.Add(1)
 		campTrialsPruned.Inc()
 	} else {

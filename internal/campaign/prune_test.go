@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 
+	"etap/internal/apps"
 	"etap/internal/apps/all"
 	"etap/internal/asm"
 	"etap/internal/campaign"
@@ -133,6 +134,45 @@ func TestPruningDifferential(t *testing.T) {
 		})
 	}
 	_ = totalPruned
+}
+
+// TestPruningDifferentialConservative pins the case where pruning pays:
+// under the conservative policy every eligible execution of adpcm's and
+// gsm's protected engines strikes a statically benign site, so every
+// trial at one and four errors is answered without simulating it, with
+// results bit-identical to simulating every trial.
+func TestPruningDifferentialConservative(t *testing.T) {
+	for _, name := range []string{"adpcm", "gsm"} {
+		name := name
+		t.Run(name, func(t *testing.T) {
+			t.Parallel()
+			a, _ := all.ByName(name)
+			sub, err := campaign.NewSubject(a.Source(), core.PolicyConservative, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			build := func(cfg campaign.Config) *campaign.Engine {
+				e, err := sub.Engine(campaign.Protected, a.Input(), apps.Scorer(a), cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return e
+			}
+			full := build(campaign.Config{ShardSize: 8, DisablePrune: true})
+			pruned := build(campaign.Config{ShardSize: 8})
+			if f := pruned.StaticPruneFraction(); f != 1 {
+				t.Fatalf("static prune fraction %v, want 1", f)
+			}
+			ran := 0
+			for _, errors := range []int{1, 4} {
+				_, pr := diffPoint(t, full, pruned, campaign.Point{Errors: errors, HiBit: 31, MaxTrials: 16, Seed: 11})
+				ran += pr.Trials
+			}
+			if got := pruned.PrunedTrials(); got != uint64(ran) {
+				t.Fatalf("pruned %d of %d trials, want all", got, ran)
+			}
+		})
+	}
 }
 
 // TestPruningDifferentialHardened repeats the bit-identity check on a

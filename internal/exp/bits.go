@@ -40,22 +40,12 @@ func BitSensitivity(ctx context.Context, opt Options) (*Report, error) {
 		pts[i].Errors, pts[i].LoBit, pts[i].HiBit = errs, lane[0], lane[1]
 	}
 	for _, name := range []string{"blowfish", "gsm"} {
-		a, err := appByNameOrErr(name)
+		es, err := engines(name, opt.Policy, campaign.Protected, campaign.Unprotected)
 		if err != nil {
 			return nil, err
 		}
-		b, err := Build(a, opt.Policy)
-		if err != nil {
-			return nil, err
-		}
-		for _, protected := range []bool{true, false} {
-			camp := b.On
-			mode := "on"
-			if !protected {
-				camp = b.Off
-				mode = "off"
-			}
-			points := opt.sweep(ctx, camp, pts)
+		for k, mode := range []string{"on", "off"} {
+			points := opt.sweep(ctx, es[k], pts)
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}

@@ -48,40 +48,31 @@ func (o Options) sweep(ctx context.Context, e *campaign.Engine, pts []campaign.P
 	return e.Sweep(ctx, pts, o.Observer.ForSweep())
 }
 
-// Built is one benchmark compiled, analyzed and ready for injection
-// campaigns in both protection modes.
-type Built struct {
-	Report *core.Report
-	// On injects only into analysis-tagged instructions (protection on);
-	// Off injects into every arithmetic instruction (unchanged program on
-	// unreliable hardware).
-	On, Off *campaign.Engine
-}
-
-// Build compiles and analyzes one benchmark and prepares both campaign
-// engines (golden pass plus checkpoints each). It cross-checks the clean
-// simulated output against the app's pure-Go reference so a toolchain
-// regression cannot silently skew results.
-func Build(app apps.App, pol core.Policy) (*Built, error) {
-	sub, err := campaign.NewSubject(app.Source(), pol, nil)
+// engines builds the named benchmark's campaign engine for each mode, in
+// order: one compile and analysis under pol, then one golden pass per
+// engine, so an experiment pays only for the modes it reads. It
+// cross-checks the clean simulated output against the app's pure-Go
+// reference so a toolchain regression cannot silently skew results.
+func engines(name string, pol core.Policy, modes ...campaign.Mode) ([]*campaign.Engine, error) {
+	a, err := appByNameOrErr(name)
 	if err != nil {
-		return nil, fmt.Errorf("exp: %s: %w", app.Name(), err)
+		return nil, err
 	}
-	engines := make([]*campaign.Engine, 2)
-	for i, mode := range []campaign.Mode{campaign.Protected, campaign.Unprotected} {
-		if engines[i], err = sub.Engine(mode, app.Input(), apps.Scorer(app), campaign.Config{}); err != nil {
-			return nil, fmt.Errorf("exp: %s (%s): %w", app.Name(), mode, err)
+	sub, err := campaign.NewSubject(a.Source(), pol, nil)
+	if err != nil {
+		return nil, fmt.Errorf("exp: %s: %w", name, err)
+	}
+	es := make([]*campaign.Engine, len(modes))
+	for i, mode := range modes {
+		if es[i], err = sub.Engine(mode, a.Input(), apps.Scorer(a), campaign.Config{}); err != nil {
+			return nil, fmt.Errorf("exp: %s (%s): %w", name, mode, err)
 		}
 	}
-	if !bytes.Equal(engines[0].Clean.Output, app.Reference()) {
-		return nil, fmt.Errorf("exp: %s: simulated clean output differs from Go reference", app.Name())
+	if !bytes.Equal(es[0].Clean.Output, a.Reference()) {
+		return nil, fmt.Errorf("exp: %s: simulated clean output differs from Go reference", name)
 	}
-	return &Built{Report: sub.Report, On: engines[0], Off: engines[1]}, nil
+	return es, nil
 }
-
-// TaggedDynamicPct is Table 3's "% low reliability instructions": the
-// dynamic fraction of the clean run spent in analysis-tagged instructions.
-func (b *Built) TaggedDynamicPct() float64 { return 100 * b.On.EligibleFraction() }
 
 func pct(f float64) string {
 	if math.IsNaN(f) {

@@ -13,6 +13,7 @@ import (
 	"etap/internal/apps/all"
 	"etap/internal/campaign"
 	"etap/internal/core"
+	"etap/internal/obs"
 )
 
 // fastOpt keeps harness tests quick.
@@ -32,30 +33,45 @@ func at(opt Options, n int) campaign.Point {
 var ctx = context.Background()
 
 func TestBuildCrossChecksReference(t *testing.T) {
-	a, _ := all.ByName("adpcm")
-	b, err := Build(a, core.PolicyControlAddr)
+	es, err := engines("adpcm", core.PolicyControlAddr, campaign.Protected, campaign.Unprotected)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if b.On.Clean.Instret == 0 || b.Off.Clean.Instret == 0 {
+	on, off := es[0], es[1]
+	if on.Clean.Instret == 0 || off.Clean.Instret == 0 {
 		t.Fatalf("clean runs missing")
 	}
-	if b.On.Clean.EligibleExec >= b.Off.Clean.EligibleExec {
+	if on.Clean.EligibleExec >= off.Clean.EligibleExec {
 		t.Fatalf("protected eligible stream (%d) should be smaller than unprotected (%d)",
-			b.On.Clean.EligibleExec, b.Off.Clean.EligibleExec)
+			on.Clean.EligibleExec, off.Clean.EligibleExec)
 	}
-	if len(b.On.Clean.Output) == 0 {
+	if len(on.Clean.Output) == 0 {
 		t.Fatalf("no golden output")
 	}
 }
 
+// TestPotentialGoldenPasses counts golden passes over one experiment:
+// potential reads only protected engines, so it records one per (app,
+// policy), not one per mode. It must not run in parallel, since the
+// counter is process-wide.
+func TestPotentialGoldenPasses(t *testing.T) {
+	records := obs.Default().CounterVec("etap_sim_runs_total", "", "kind").With("record")
+	before := records.Value()
+	if _, err := Potential(ctx, fastOpt); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := records.Value()-before, float64(2*len(all.Apps())); got != want {
+		t.Fatalf("potential ran %v golden passes, want %v", got, want)
+	}
+}
+
 func TestRunPointAggregates(t *testing.T) {
-	a, _ := all.ByName("adpcm")
-	b, err := Build(a, core.PolicyControlAddr)
+	es, err := engines("adpcm", core.PolicyControlAddr, campaign.Protected)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := b.On.RunPoint(ctx, at(fastOpt, 3), nil)
+	on := es[0]
+	p := on.RunPoint(ctx, at(fastOpt, 3), nil)
 	if p.Trials != fastOpt.Point.MaxTrials {
 		t.Fatalf("trials = %d", p.Trials)
 	}
@@ -74,25 +90,25 @@ func TestRunPointAggregates(t *testing.T) {
 }
 
 func TestZeroErrorsIsPerfect(t *testing.T) {
-	a, _ := all.ByName("gsm")
-	b, err := Build(a, core.PolicyControlAddr)
+	es, err := engines("gsm", core.PolicyControlAddr, campaign.Protected)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := b.On.RunPoint(ctx, at(fastOpt, 0), nil)
+	on := es[0]
+	p := on.RunPoint(ctx, at(fastOpt, 0), nil)
 	if p.FailPct != 0 || p.AcceptPct != 100 {
 		t.Fatalf("zero-error point: %+v", p)
 	}
 }
 
 func TestRunPointDeterministic(t *testing.T) {
-	a, _ := all.ByName("blowfish")
-	b, err := Build(a, core.PolicyControlAddr)
+	es, err := engines("blowfish", core.PolicyControlAddr, campaign.Protected)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p1 := b.On.RunPoint(ctx, at(fastOpt, 5), nil)
-	p2 := b.On.RunPoint(ctx, at(fastOpt, 5), nil)
+	on := es[0]
+	p1 := on.RunPoint(ctx, at(fastOpt, 5), nil)
+	p2 := on.RunPoint(ctx, at(fastOpt, 5), nil)
 	if p1 != p2 {
 		t.Fatalf("points differ: %+v vs %+v", p1, p2)
 	}
@@ -105,14 +121,13 @@ func TestProtectionReducesFailures(t *testing.T) {
 		t.Skip("short mode")
 	}
 	for _, name := range []string{"susan", "gsm"} {
-		a, _ := all.ByName(name)
-		b, err := Build(a, core.PolicyControlAddr)
+		es, err := engines(name, core.PolicyControlAddr, campaign.Protected, campaign.Unprotected)
 		if err != nil {
 			t.Fatal(err)
 		}
 		errs := 40
-		on := b.On.RunPoint(ctx, at(fastOpt, errs), nil)
-		off := b.Off.RunPoint(ctx, at(fastOpt, errs), nil)
+		on := es[0].RunPoint(ctx, at(fastOpt, errs), nil)
+		off := es[1].RunPoint(ctx, at(fastOpt, errs), nil)
 		if on.FailPct > off.FailPct {
 			t.Errorf("%s: protected failures %.0f%% exceed unprotected %.0f%%", name, on.FailPct, off.FailPct)
 		}
@@ -454,13 +469,13 @@ func TestReportJSONAndCSV(t *testing.T) {
 // (the default seed 1 when the template sets none), and its CSV rows are
 // keyed by report, app and mode.
 func TestCharacterizeReportJSONAndCSV(t *testing.T) {
-	a, _ := all.ByName("adpcm")
-	b, err := Build(a, core.PolicyControlAddr)
+	es, err := engines("adpcm", core.PolicyControlAddr, campaign.Protected)
 	if err != nil {
 		t.Fatal(err)
 	}
+	on := es[0]
 	tmpl := campaign.Point{HiBit: 31, MaxTrials: 8, Seed: 3}
-	points := b.On.Sweep(ctx, campaign.ErrorPoints(tmpl, []int{0, 10}), nil)
+	points := on.Sweep(ctx, campaign.ErrorPoints(tmpl, []int{0, 10}), nil)
 	rep := Characterize("adpcm", "protected", "control+addr", tmpl, points)
 
 	var jb bytes.Buffer

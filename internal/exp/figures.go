@@ -76,19 +76,10 @@ func acceptValues(pts []campaign.PointResult) []float64 {
 	return values(pts, func(p campaign.PointResult) float64 { return p.AcceptPct })
 }
 
-// buildFor compiles one named benchmark for a figure.
-func buildFor(name string, opt Options) (*Built, error) {
-	a, err := appByNameOrErr(name)
-	if err != nil {
-		return nil, err
-	}
-	return Build(a, opt.Policy)
-}
-
 // Figure1 — Susan: PSNR of the edge map versus errors inserted, with the
 // static analysis on and off, against the 10 dB threshold.
 func Figure1(ctx context.Context, opt Options) (*Report, error) {
-	b, err := buildFor("susan", opt)
+	es, err := engines("susan", opt.Policy, campaign.Protected, campaign.Unprotected)
 	if err != nil {
 		return nil, err
 	}
@@ -96,8 +87,8 @@ func Figure1(ctx context.Context, opt Options) (*Report, error) {
 		"PSNR of pictures with error (dB)", []int{100, 500, 920, 1100, 1550, 2300}, opt)
 	thr := 10.0
 	f.rep.Threshold = &thr
-	on := opt.sweep(ctx, b.On, campaign.ErrorPoints(opt.base(), f.errors))
-	off := opt.sweep(ctx, b.Off, campaign.ErrorPoints(opt.base(), f.errors))
+	on := opt.sweep(ctx, es[0], campaign.ErrorPoints(opt.base(), f.errors))
+	off := opt.sweep(ctx, es[1], campaign.ErrorPoints(opt.base(), f.errors))
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -109,7 +100,7 @@ func Figure1(ctx context.Context, opt Options) (*Report, error) {
 // Figure2 — MPEG: percentage of bad frames and failed executions versus
 // errors, protection on.
 func Figure2(ctx context.Context, opt Options) (*Report, error) {
-	b, err := buildFor("mpeg", opt)
+	es, err := engines("mpeg", opt.Policy, campaign.Protected)
 	if err != nil {
 		return nil, err
 	}
@@ -117,7 +108,7 @@ func Figure2(ctx context.Context, opt Options) (*Report, error) {
 		"% of bad frames / % failed", []int{10, 50, 100, 150, 300, 500}, opt)
 	thr := 10.0
 	f.rep.Threshold = &thr
-	on := opt.sweep(ctx, b.On, campaign.ErrorPoints(opt.base(), f.errors))
+	on := opt.sweep(ctx, es[0], campaign.ErrorPoints(opt.base(), f.errors))
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -128,13 +119,13 @@ func Figure2(ctx context.Context, opt Options) (*Report, error) {
 
 // Figure3 — MCF: percentage of optimal schedules found and failed runs.
 func Figure3(ctx context.Context, opt Options) (*Report, error) {
-	b, err := buildFor("mcf", opt)
+	es, err := engines("mcf", opt.Policy, campaign.Protected)
 	if err != nil {
 		return nil, err
 	}
 	f := newFigure("figure3", "Figure 3: MCF results", "mcf",
 		"% optimal schedules / % failed", []int{1, 20, 50, 100, 150, 200, 250, 300}, opt)
-	on := opt.sweep(ctx, b.On, campaign.ErrorPoints(opt.base(), f.errors))
+	on := opt.sweep(ctx, es[0], campaign.ErrorPoints(opt.base(), f.errors))
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -145,13 +136,13 @@ func Figure3(ctx context.Context, opt Options) (*Report, error) {
 
 // Figure4 — Blowfish: percentage of bytes correct and failed executions.
 func Figure4(ctx context.Context, opt Options) (*Report, error) {
-	b, err := buildFor("blowfish", opt)
+	es, err := engines("blowfish", opt.Policy, campaign.Protected)
 	if err != nil {
 		return nil, err
 	}
 	f := newFigure("figure4", "Figure 4: Blowfish results", "blowfish",
 		"% bytes correct / % failed", []int{5, 10, 15, 20, 25, 30, 35, 40}, opt)
-	on := opt.sweep(ctx, b.On, campaign.ErrorPoints(opt.base(), f.errors))
+	on := opt.sweep(ctx, es[0], campaign.ErrorPoints(opt.base(), f.errors))
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -162,13 +153,13 @@ func Figure4(ctx context.Context, opt Options) (*Report, error) {
 
 // Figure5 — GSM: SNR relative to the fault-free decode and failures.
 func Figure5(ctx context.Context, opt Options) (*Report, error) {
-	b, err := buildFor("gsm", opt)
+	es, err := engines("gsm", opt.Policy, campaign.Protected)
 	if err != nil {
 		return nil, err
 	}
 	f := newFigure("figure5", "Figure 5: GSM results", "gsm",
 		"% SNR from optimal / % failed", []int{5, 10, 15, 20, 25, 30, 35, 40}, opt)
-	on := opt.sweep(ctx, b.On, campaign.ErrorPoints(opt.base(), f.errors))
+	on := opt.sweep(ctx, es[0], campaign.ErrorPoints(opt.base(), f.errors))
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -179,13 +170,13 @@ func Figure5(ctx context.Context, opt Options) (*Report, error) {
 
 // Figure6 — ART: percentage of images recognized and failures.
 func Figure6(ctx context.Context, opt Options) (*Report, error) {
-	b, err := buildFor("art", opt)
+	es, err := engines("art", opt.Policy, campaign.Protected)
 	if err != nil {
 		return nil, err
 	}
 	f := newFigure("figure6", "Figure 6: ART results", "art",
 		"% images recognized / % failed", []int{1, 2, 3, 4}, opt)
-	on := opt.sweep(ctx, b.On, campaign.ErrorPoints(opt.base(), f.errors))
+	on := opt.sweep(ctx, es[0], campaign.ErrorPoints(opt.base(), f.errors))
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"etap/internal/apps/all"
+	"etap/internal/campaign"
 )
 
 // Masking measures the paper's framing premise: the introduction positions
@@ -40,14 +41,14 @@ func Masking(ctx context.Context, opt Options) (*Report, error) {
 	pt := opt.base()
 	pt.Errors = 1
 	for _, a := range all.Apps() {
-		b, err := Build(a, opt.Policy)
+		es, err := engines(a.Name(), opt.Policy, campaign.Protected)
 		if err != nil {
 			return nil, err
 		}
 		// The engine's point aggregation already separates the four bins:
 		// masked (bit-identical output), accepted ⊇ masked (passes the
 		// threshold) and catastrophic (crash/hang).
-		p := b.On.RunPoint(ctx, pt, opt.Observer)
+		p := es[0].RunPoint(ctx, pt, opt.Observer)
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}

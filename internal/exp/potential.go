@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"etap/internal/apps/all"
+	"etap/internal/campaign"
 	"etap/internal/core"
 )
 
@@ -37,11 +38,11 @@ func Potential(ctx context.Context, opt Options) (*Report, error) {
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
-			b, err := Build(a, pol)
+			es, err := engines(a.Name(), pol, campaign.Protected)
 			if err != nil {
 				return nil, err
 			}
-			frac := b.On.EligibleFraction() // tagged share of the dynamic stream
+			frac := es[0].EligibleFraction() // tagged share of the dynamic stream
 			speedup := func(r float64) float64 {
 				return r / ((1-frac)*r + frac)
 			}

@@ -65,18 +65,18 @@ func Table2(ctx context.Context, opt Options) (*Report, error) {
 		Policy: opt.Policy.String(),
 	}
 	for _, a := range all.Apps() {
-		b, err := Build(a, opt.Policy)
+		es, err := engines(a.Name(), opt.Policy, campaign.Protected, campaign.Unprotected)
 		if err != nil {
 			return nil, err
 		}
 		errs := table2Errors[a.Name()]
 		pts := campaign.ErrorPoints(opt.base(), errs)
-		on := opt.sweep(ctx, b.On, pts)
-		off := opt.sweep(ctx, b.Off, pts)
+		on := opt.sweep(ctx, es[0], pts)
+		off := opt.sweep(ctx, es[1], pts)
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		instr := b.On.Clean.Instret
+		instr := es[0].Clean.Instret
 		for i, n := range errs {
 			r.Rows = append(r.Rows, []Cell{
 				CellStr(a.Name()),
@@ -113,15 +113,21 @@ func Table3(ctx context.Context, opt Options) (*Report, error) {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		b, err := Build(a, opt.Policy)
+		es, err := engines(a.Name(), opt.Policy, campaign.Protected)
 		if err != nil {
 			return nil, err
 		}
-		st := b.Report.Stats()
-		arith := b.On.Clean.ClassCounts[1] // isa.ClassArith
-		instret := b.On.Clean.Instret
-		lowRel := b.TaggedDynamicPct()
-		static := 100 * float64(st.TaggedStatic) / float64(st.TextInstrs)
+		on := es[0]
+		arith := on.Clean.ClassCounts[1] // isa.ClassArith
+		instret := on.Clean.Instret
+		lowRel := 100 * on.EligibleFraction()
+		tagged := 0 // the protected mask is the analysis's tagged set
+		for _, t := range on.Eligible {
+			if t {
+				tagged++
+			}
+		}
+		static := 100 * float64(tagged) / float64(len(on.Prog.Text))
 		arithPct := 100 * float64(arith) / float64(instret)
 		r.Rows = append(r.Rows, []Cell{
 			CellStr(a.Name()),
@@ -155,22 +161,18 @@ func PolicyAblation(ctx context.Context, opt Options) (*Report, error) {
 	}
 	errorsFor := map[string]int{"susan": 200, "blowfish": 20, "mcf": 40}
 	for _, name := range []string{"susan", "blowfish", "mcf"} {
-		a, ok := all.ByName(name)
-		if !ok {
-			return nil, fmt.Errorf("exp: unknown app %q", name)
-		}
 		for _, pol := range []core.Policy{core.PolicyControl, core.PolicyControlAddr, core.PolicyConservative} {
-			b, err := Build(a, pol)
+			es, err := engines(name, pol, campaign.Protected)
 			if err != nil {
 				return nil, err
 			}
 			pt := opt.base()
 			pt.Errors = errorsFor[name]
-			p := b.On.RunPoint(ctx, pt, opt.Observer)
+			p := es[0].RunPoint(ctx, pt, opt.Observer)
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
-			lowRel := b.TaggedDynamicPct()
+			lowRel := 100 * es[0].EligibleFraction()
 			r.Rows = append(r.Rows, []Cell{
 				CellStr(name),
 				CellStr(pol.String()),

@@ -141,6 +141,8 @@ func (rn *Runner) Close() {
 
 // RunFrom is Recording.RunFrom on reused state: resume from checkpoint idx
 // (-1 for scratch) under a trial plan and optional instruction budget.
+// Every index runs the recording's own predecoded stream, so the plan
+// must carry the recorded mask (or be nil) at every index.
 func (rn *Runner) RunFrom(idx int, plan *FaultPlan, maxInstr uint64) Result {
 	r := rn.rec
 	cfg := r.cfg
@@ -148,17 +150,17 @@ func (rn *Runner) RunFrom(idx int, plan *FaultPlan, maxInstr uint64) Result {
 	if maxInstr != 0 {
 		cfg.MaxInstr = maxInstr
 	}
-	if idx >= 0 && plan != nil && !sameMask(plan.Eligible, r.elig) &&
+	if plan != nil && !sameMask(plan.Eligible, r.elig) &&
 		maskFingerprint(plan.Eligible) != r.maskFP {
-		// Fail fast: resuming mid-stream under a different mask would
+		// Fail fast: the recorded stream and checkpoints count eligible
+		// ordinals under the recorded mask only, so any other mask would
 		// mis-place every injection and silently corrupt the trial.
-		panic(fmt.Sprintf("sim: RunFrom(%d): trial plan's eligibility mask (fingerprint %#x) differs from the recorded one (%#x); checkpoint eligible-stream positions are meaningless under any other mask", idx, maskFingerprint(plan.Eligible), r.maskFP))
+		panic(fmt.Sprintf("sim: RunFrom(%d): trial plan's eligibility mask (fingerprint %#x) differs from the recorded one (%#x); a recording's eligible-stream positions are meaningless under any other mask (use Run)", idx, maskFingerprint(plan.Eligible), r.maskFP))
 	}
-	code := codeForPlan(r, plan)
 	if idx < 0 {
 		m, buf := newScratch(r.prog, cfg)
 		start := time.Now()
-		m.runEngine(code)
+		m.runEngine(r.code)
 		recordRunMetrics(simRunsScratch, m.instret, time.Since(start))
 		res := m.result()
 		buf.release()
@@ -224,29 +226,9 @@ func (rn *Runner) RunFrom(idx int, plan *FaultPlan, maxInstr uint64) Result {
 		m.injections = plan.Injections
 	}
 	start := time.Now()
-	m.runEngine(code)
+	m.runEngine(r.code)
 	// The machine resumed at s.Instret; only the instructions actually
 	// re-executed count toward the process totals.
 	recordRunMetrics(simRunsRestore, m.instret-s.Instret, time.Since(start))
 	return m.result()
-}
-
-// codeForPlan picks the predecoded stream for a trial against a recording:
-// the recording's own folded stream when the plan carries the very mask
-// the golden pass was recorded with (the common campaign case — matched by
-// identity, so no per-trial lock), the cached plain stream for plan-less
-// replays, and a codeFor compile for anything else. Using r.code for a
-// different mask would mis-count EligibleExec, so the identity gate is
-// load-bearing for correctness, not just speed.
-func codeForPlan(r *Recording, plan *FaultPlan) []dinstr {
-	if plan == nil {
-		if len(r.elig) == 0 {
-			return r.code
-		}
-		return codeFor(r.prog, nil)
-	}
-	if sameMask(plan.Eligible, r.elig) {
-		return r.code
-	}
-	return codeFor(r.prog, plan)
 }

@@ -16,11 +16,7 @@
 // observationally identical to two reference steps (see docs/PERF.md).
 package sim
 
-import (
-	"sync"
-
-	"etap/internal/isa"
-)
+import "etap/internal/isa"
 
 // dinstr is one predecoded slot. Register fields are indices into
 // machine.regs with $zero destinations redirected to the write sink
@@ -154,60 +150,6 @@ func compile(text []isa.Instr, mask, mark []bool) []dinstr {
 		d.dst = code[i+1].dst
 	}
 	return code
-}
-
-// The predecode cache maps a built program to its compiled streams: one
-// plain stream (no mask) and one for the most recent eligibility mask,
-// keyed by the mask's identity (&mask[0], length). Identity keying is
-// sound because FaultPlan documents Eligible as immutable once run, and
-// the cache's own reference to the backing array prevents the allocator
-// from recycling it while the entry lives.
-const codeCacheMax = 64
-
-var (
-	codeMu    sync.Mutex
-	codeCache = map[*isa.Program]*progCode{}
-)
-
-type progCode struct {
-	plain   []dinstr
-	maskPtr *bool
-	maskLen int
-	masked  []dinstr
-}
-
-// codeFor returns the predecoded stream for p under the plan's eligibility
-// mask (plan may be nil), compiling and caching on first use.
-func codeFor(p *isa.Program, plan *FaultPlan) []dinstr {
-	var mask []bool
-	if plan != nil {
-		mask = plan.Eligible
-	}
-	codeMu.Lock()
-	defer codeMu.Unlock()
-	pc := codeCache[p]
-	if pc == nil {
-		if len(codeCache) >= codeCacheMax {
-			for k := range codeCache {
-				delete(codeCache, k)
-				break
-			}
-		}
-		pc = &progCode{}
-		codeCache[p] = pc
-	}
-	if len(mask) == 0 {
-		if pc.plain == nil {
-			pc.plain = compile(p.Text, nil, nil)
-		}
-		return pc.plain
-	}
-	if pc.maskPtr != &mask[0] || pc.maskLen != len(mask) {
-		pc.masked = compile(p.Text, mask, nil)
-		pc.maskPtr = &mask[0]
-		pc.maskLen = len(mask)
-	}
-	return pc.masked
 }
 
 // sameMask reports whether two eligibility masks are the same slice, by

@@ -197,11 +197,12 @@ func TestRunRecoverBudgetAccounting(t *testing.T) {
 	}
 }
 
-// TestRunFromRejectsForeignMask pins the mask-fingerprint guard: restoring
-// a checkpoint under a plan whose eligibility mask differs in content from
-// the recorded one must fail fast instead of silently mis-placing every
-// injection. An equal-content copy of the mask (different slice identity)
-// must still be accepted, and from-scratch runs are unaffected.
+// TestRunFromRejectsForeignMask pins the mask-fingerprint guard: running a
+// recording, from a checkpoint or from scratch, under a plan whose
+// eligibility mask differs in content from the recorded one must fail fast
+// instead of silently mis-placing every injection. An equal-content copy
+// of the mask (different slice identity) must still be accepted, and a
+// scratch run under another mask is exactly Run.
 func TestRunFromRejectsForeignMask(t *testing.T) {
 	rec, base := recordDetect(t)
 	plan := &sim.FaultPlan{Eligible: base.Eligible, Injections: []sim.Injection{{At: 150, Bit: 5}}}
@@ -223,7 +224,7 @@ func TestRunFromRejectsForeignMask(t *testing.T) {
 		defer func() {
 			r := recover()
 			if r == nil {
-				t.Fatalf("%s: restore under a foreign mask did not panic", name)
+				t.Fatalf("%s: run under a foreign mask did not panic", name)
 			}
 			if msg, ok := r.(string); !ok || !strings.Contains(msg, "eligibility mask") {
 				t.Fatalf("%s: unexpected panic %v", name, r)
@@ -238,10 +239,16 @@ func TestRunFromRejectsForeignMask(t *testing.T) {
 		rec.RunRecover(idx, &sim.FaultPlan{Eligible: foreign, Injections: plan.Injections}, 0,
 			sim.RecoveryPolicy{MaxAttempts: 1})
 	})
-
-	// From-scratch runs carry no checkpoint stream positions, so any mask
-	// remains legal there.
-	if res := rec.RunFrom(-1, &sim.FaultPlan{Eligible: foreign}, 0); res.Outcome != sim.OK {
-		t.Fatalf("scratch run under a different mask: outcome %s", res.Outcome)
+	// A scratch run counts ordinals on the recorded stream too, so it
+	// rejects a foreign mask as well.
+	mustPanic("scratch RunFrom", func() {
+		rec.RunFrom(-1, &sim.FaultPlan{Eligible: foreign}, 0)
+	})
+	p, err := asm.Assemble(detectProgram)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res := sim.Run(p, sim.Config{Plan: &sim.FaultPlan{Eligible: foreign}}); res.Outcome != sim.OK {
+		t.Fatalf("Run under a different mask: outcome %s", res.Outcome)
 	}
 }

@@ -138,8 +138,8 @@ type Injection struct {
 // stream length of a clean run.
 //
 // The Eligible mask must not be mutated once a plan carrying it has been
-// run: the predecoded engine folds the mask into its compiled instruction
-// stream and caches that stream by the mask's identity.
+// recorded: a Recording folds the mask into its compiled instruction
+// stream and accepts trial plans that carry the same slice by identity.
 type FaultPlan struct {
 	Eligible   []bool
 	Injections []Injection
@@ -240,14 +240,18 @@ func (c Config) normalize() Config {
 // Run executes the program to completion under cfg.
 //
 // Execution happens on the predecoded engine (predecode.go, engine.go):
-// the text segment is compiled once per (program, eligibility mask) pair
-// into a dense superinstruction stream and the hot loop dispatches over
-// that. The engine is pinned bit-identical to a per-step reference
-// interpreter that lives with the tests (TestEngineMatchesReference,
-// FuzzEngineEquivalence).
+// each call compiles the text segment under the plan's eligibility mask
+// into a dense superinstruction stream, in time linear in the text, and
+// the hot loop dispatches over that. The engine is pinned bit-identical
+// to a per-step reference interpreter that lives with the tests
+// (TestEngineMatchesReference, FuzzEngineEquivalence).
 func Run(p *isa.Program, cfg Config) Result {
 	cfg = cfg.normalize()
-	code := codeFor(p, cfg.Plan)
+	var mask []bool
+	if cfg.Plan != nil {
+		mask = cfg.Plan.Eligible
+	}
+	code := compile(p.Text, mask, nil)
 	m, buf := newScratch(p, cfg)
 	start := time.Now()
 	m.runEngine(code)

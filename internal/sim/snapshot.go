@@ -154,7 +154,7 @@ type Recording struct {
 	snaps  []*Snapshot
 	base   []*[pageSize]byte // initial fast-region image (data segment)
 	elig   []bool            // eligibility mask the golden pass counted with
-	maskFP uint64            // fingerprint of elig; restores reject other masks
+	maskFP uint64            // fingerprint of elig; RunFrom rejects other masks
 	code   []dinstr          // predecoded stream with elig folded in
 	marks  []uint64          // bit o-1 set: eligible ordinal o retired at a marked site
 }
@@ -180,11 +180,6 @@ func maskFingerprint(elig []bool) uint64 {
 	}
 	return h
 }
-
-// MaskFingerprint identifies the eligibility mask the golden pass was
-// recorded with. Restores (RunFrom with idx >= 0) panic when the trial
-// plan's mask does not match it.
-func (r *Recording) MaskFingerprint() uint64 { return r.maskFP }
 
 // recorder holds the capture state of a golden pass.
 type recorder struct {
@@ -473,12 +468,14 @@ func (r *Recording) SnapshotBefore(at uint64) int {
 }
 
 // RunFrom resumes execution from checkpoint idx under a trial plan and
-// instruction budget; idx -1 runs from scratch. The plan's eligibility
-// mask must be the one the golden pass was recorded with — checkpoint
-// eligible-stream positions are meaningless under any other mask — and a
-// restore under a plan whose mask content differs panics rather than
-// silently producing garbage (the masks are compared by fingerprint, so
-// an equal copy of the recorded mask is fine).
+// instruction budget; idx -1 runs from scratch. Either way the run uses
+// the recording's own predecoded stream, which counts eligible ordinals
+// under the mask the golden pass was recorded with, so the plan must
+// carry that mask: a plan whose mask content differs panics at every
+// index rather than silently producing garbage (the masks are compared
+// by fingerprint, so an equal copy of the recorded mask is fine). A nil
+// plan runs with no injections under the recorded mask. To run under any
+// other mask, use Run.
 //
 // Each call builds and discards the per-trial machine state; callers
 // running many trials against one recording should hold a Runner
