@@ -189,12 +189,7 @@ func (e *Engine) Checkpoints() int { return len(e.rec.Snapshots()) }
 
 // EligibleFraction is the dynamic fraction of executed instructions that
 // were eligible in the clean run.
-func (e *Engine) EligibleFraction() float64 {
-	if e.Clean.Instret == 0 {
-		return 0
-	}
-	return float64(e.Clean.EligibleExec) / float64(e.Clean.Instret)
-}
+func (e *Engine) EligibleFraction() float64 { return e.Clean.EligibleFraction() }
 
 // RunPlan executes one trial under a prepared plan, resuming from the
 // latest checkpoint before the plan's first injection (or, with no

@@ -94,22 +94,26 @@ func (s *Subject) Harden(opts harden.Options) (*Subject, error) {
 	return &Subject{Prog: res.Prog, Report: rep, Hardened: res}, nil
 }
 
-// Engine prepares a campaign over the subject on input (one golden
-// pass), injecting where mode says and grading completed trials with
-// score (nil: bit-exact). It is the one place a mode becomes an
-// eligibility mask. Protected needs Report and Detection a hardened
+// Mask is the eligibility mask a mode injects into; it is the one place
+// a mode becomes a mask. Protected needs Report and Detection a hardened
 // subject.
-func (s *Subject) Engine(mode Mode, input []byte, score ScoreFunc, cfg Config) (*Engine, error) {
-	var eligible []bool
+func (s *Subject) Mask(mode Mode) []bool {
 	switch mode {
 	case Protected:
-		eligible = s.Report.Tagged
+		return s.Report.Tagged
 	case Unprotected:
-		eligible = core.EligibleAll(s.Prog)
+		return core.EligibleAll(s.Prog)
 	case Detection:
-		eligible = s.Hardened.PrimaryProtected
+		return s.Hardened.PrimaryProtected
 	}
-	e, err := New(s.Prog, eligible, sim.Config{Input: input}, cfg)
+	return nil
+}
+
+// Engine prepares a campaign over the subject on input (one golden
+// pass), injecting where mode says (Mask) and grading completed trials
+// with score (nil: bit-exact).
+func (s *Subject) Engine(mode Mode, input []byte, score ScoreFunc, cfg Config) (*Engine, error) {
+	e, err := New(s.Prog, s.Mask(mode), sim.Config{Input: input}, cfg)
 	if err != nil {
 		return nil, err
 	}

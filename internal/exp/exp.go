@@ -15,6 +15,7 @@ import (
 	"etap/internal/apps"
 	"etap/internal/campaign"
 	"etap/internal/core"
+	"etap/internal/sim"
 )
 
 // Options controls experiment scale and reproducibility.
@@ -54,13 +55,9 @@ func (o Options) sweep(ctx context.Context, e *campaign.Engine, pts []campaign.P
 // cross-checks the clean simulated output against the app's pure-Go
 // reference so a toolchain regression cannot silently skew results.
 func engines(name string, pol core.Policy, modes ...campaign.Mode) ([]*campaign.Engine, error) {
-	a, err := appByNameOrErr(name)
+	a, sub, err := subject(name, pol)
 	if err != nil {
 		return nil, err
-	}
-	sub, err := campaign.NewSubject(a.Source(), pol, nil)
-	if err != nil {
-		return nil, fmt.Errorf("exp: %s: %w", name, err)
 	}
 	es := make([]*campaign.Engine, len(modes))
 	for i, mode := range modes {
@@ -72,6 +69,35 @@ func engines(name string, pol core.Policy, modes ...campaign.Mode) ([]*campaign.
 		return nil, fmt.Errorf("exp: %s: simulated clean output differs from Go reference", name)
 	}
 	return es, nil
+}
+
+// cleanRun runs the named benchmark once, fault-free, under pol's
+// protected mask: one compile and analysis and one plain sim.Run, for
+// experiments that read only clean-run counts and need no campaign
+// engine. It makes the same Go-reference cross-check as engines.
+func cleanRun(name string, pol core.Policy) (*campaign.Subject, sim.Result, error) {
+	a, sub, err := subject(name, pol)
+	if err != nil {
+		return nil, sim.Result{}, err
+	}
+	res := sim.Run(sub.Prog, sim.Config{Input: a.Input(), Plan: &sim.FaultPlan{Eligible: sub.Mask(campaign.Protected)}})
+	if res.Outcome != sim.OK || !bytes.Equal(res.Output, a.Reference()) {
+		return nil, sim.Result{}, fmt.Errorf("exp: %s: simulated clean run (%s) differs from Go reference", name, res.Outcome)
+	}
+	return sub, res, nil
+}
+
+// subject compiles and analyzes the named benchmark under pol.
+func subject(name string, pol core.Policy) (apps.App, *campaign.Subject, error) {
+	a, err := appByNameOrErr(name)
+	if err != nil {
+		return nil, nil, err
+	}
+	sub, err := campaign.NewSubject(a.Source(), pol, nil)
+	if err != nil {
+		return nil, nil, fmt.Errorf("exp: %s: %w", name, err)
+	}
+	return a, sub, nil
 }
 
 func pct(f float64) string {

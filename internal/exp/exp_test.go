@@ -50,18 +50,22 @@ func TestBuildCrossChecksReference(t *testing.T) {
 	}
 }
 
-// TestPotentialGoldenPasses counts golden passes over one experiment:
-// potential reads only protected engines, so it records one per (app,
-// policy), not one per mode. It must not run in parallel, since the
-// counter is process-wide.
+// TestPotentialGoldenPasses counts simulator runs over one experiment:
+// potential reads only clean-run counts, so it records no golden pass and
+// makes one plain run per (app, policy). It must not run in parallel,
+// since the counters are process-wide.
 func TestPotentialGoldenPasses(t *testing.T) {
-	records := obs.Default().CounterVec("etap_sim_runs_total", "", "kind").With("record")
-	before := records.Value()
+	runs := obs.Default().CounterVec("etap_sim_runs_total", "", "kind")
+	records, scratch := runs.With("record"), runs.With("scratch")
+	beforeRec, beforeScratch := records.Value(), scratch.Value()
 	if _, err := Potential(ctx, fastOpt); err != nil {
 		t.Fatal(err)
 	}
-	if got, want := records.Value()-before, float64(2*len(all.Apps())); got != want {
-		t.Fatalf("potential ran %v golden passes, want %v", got, want)
+	if got := records.Value() - beforeRec; got != 0 {
+		t.Fatalf("potential ran %v golden passes, want 0", got)
+	}
+	if got, want := scratch.Value()-beforeScratch, float64(2*len(all.Apps())); got != want {
+		t.Fatalf("potential made %v plain runs, want %v", got, want)
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"etap/internal/apps/all"
-	"etap/internal/campaign"
 	"etap/internal/core"
 )
 
@@ -38,11 +37,11 @@ func Potential(ctx context.Context, opt Options) (*Report, error) {
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
-			es, err := engines(a.Name(), pol, campaign.Protected)
+			_, clean, err := cleanRun(a.Name(), pol)
 			if err != nil {
 				return nil, err
 			}
-			frac := es[0].EligibleFraction() // tagged share of the dynamic stream
+			frac := clean.EligibleFraction() // tagged share of the dynamic stream
 			speedup := func(r float64) float64 {
 				return r / ((1-frac)*r + frac)
 			}

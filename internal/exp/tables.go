@@ -113,21 +113,20 @@ func Table3(ctx context.Context, opt Options) (*Report, error) {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		es, err := engines(a.Name(), opt.Policy, campaign.Protected)
+		sub, clean, err := cleanRun(a.Name(), opt.Policy)
 		if err != nil {
 			return nil, err
 		}
-		on := es[0]
-		arith := on.Clean.ClassCounts[1] // isa.ClassArith
-		instret := on.Clean.Instret
-		lowRel := 100 * on.EligibleFraction()
+		arith := clean.ClassCounts[1] // isa.ClassArith
+		instret := clean.Instret
+		lowRel := 100 * clean.EligibleFraction()
 		tagged := 0 // the protected mask is the analysis's tagged set
-		for _, t := range on.Eligible {
+		for _, t := range sub.Mask(campaign.Protected) {
 			if t {
 				tagged++
 			}
 		}
-		static := 100 * float64(tagged) / float64(len(on.Prog.Text))
+		static := 100 * float64(tagged) / float64(len(sub.Prog.Text))
 		arithPct := 100 * float64(arith) / float64(instret)
 		r.Rows = append(r.Rows, []Cell{
 			CellStr(a.Name()),

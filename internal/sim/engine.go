@@ -8,12 +8,13 @@
 // and is pinned bit-identical to it by engine_test.go,
 // engine_diff_test.go, record_test.go and FuzzEngineEquivalence.
 //
-// Invariants a machine entering runEngine must satisfy: a flat
-// (non-paged) machine has a dirty bitmap (it came from newScratch), and a
-// stream carrying eligMarked slots runs only under Record, which collects
-// the marks. The loop stops exactly at cfg.MaxInstr — between the two
-// halves of a fused pair if need be — and leaves the machine resumable
-// there, which is what lets Record run it in checkpoint-bounded segments.
+// Invariants a machine entering runEngine must satisfy: it came from the
+// one machine setup (Runner.start), so its MemSize is page-aligned and its
+// page tables cover the fast region, and a stream carrying eligMarked
+// slots runs only under Record, which collects the marks. The loop stops
+// exactly at cfg.MaxInstr — between the two halves of a fused pair if
+// need be — and leaves the machine resumable there, which is what lets
+// Record run it in checkpoint-bounded segments.
 package sim
 
 import (
@@ -355,13 +356,13 @@ func (m *machine) mark(o uint64) {
 
 // Per-size memory helpers: the engine's counterparts of machine.load and
 // machine.store with the size switch resolved at compile time and the
-// fast-region paths inlined for both flat and paged machines. An aligned
-// access inside the fast region never straddles a page (paged MemSize is
-// page-aligned), so the paged fast path is a single table lookup: pageTab
-// for loads, wrTab for stores (hit only once the page is private).
-// Everything else — sparse addresses, copy-on-write faults, page-limit
-// accounting — falls through to machine.load and machine.store, which the
-// reference interpreter shares, so those semantics cannot drift.
+// fast-region paths inlined. MemSize is page-aligned, so an aligned
+// access that starts inside the fast region ends there on the same page,
+// and the fast path is a single table lookup: pageTab for loads, wrTab
+// for stores (hit only once the page is private). Everything else —
+// sparse addresses, copy-on-write faults, page-limit accounting — falls
+// through to machine.load and machine.store, which the reference
+// interpreter shares, so those semantics cannot drift.
 
 //etap:hotpath
 func (m *machine) load32(addr uint32, pc int) (uint32, bool) {
@@ -369,10 +370,7 @@ func (m *machine) load32(addr uint32, pc int) (uint32, bool) {
 		m.faultAt(TrapMemAlign, pc, addr)
 		return 0, false
 	}
-	if addr+4 <= m.memSize && addr+4 > addr {
-		if !m.paged {
-			return binary.LittleEndian.Uint32(m.mem[addr:]), true
-		}
+	if addr < m.memSize {
 		pg := m.pageTab[addr>>pageShift]
 		if pg == nil {
 			return 0, true
@@ -389,10 +387,7 @@ func (m *machine) load16(addr uint32, pc int) (uint32, bool) {
 		m.faultAt(TrapMemAlign, pc, addr)
 		return 0, false
 	}
-	if addr+2 <= m.memSize && addr+2 > addr {
-		if !m.paged {
-			return uint32(binary.LittleEndian.Uint16(m.mem[addr:])), true
-		}
+	if addr < m.memSize {
 		pg := m.pageTab[addr>>pageShift]
 		if pg == nil {
 			return 0, true
@@ -406,9 +401,6 @@ func (m *machine) load16(addr uint32, pc int) (uint32, bool) {
 //etap:hotpath
 func (m *machine) load8(addr uint32, pc int) (uint32, bool) {
 	if addr < m.memSize {
-		if !m.paged {
-			return uint32(m.mem[addr]), true
-		}
 		pg := m.pageTab[addr>>pageShift]
 		if pg == nil {
 			return 0, true
@@ -425,14 +417,8 @@ func (m *machine) store32(addr, val uint32, pc int) bool {
 		m.faultAt(TrapMemAlign, pc, addr)
 		return false
 	}
-	if addr+4 <= m.memSize && addr+4 > addr {
-		pn := addr >> pageShift
-		if !m.paged {
-			m.dirty[pn>>6] |= 1 << (pn & 63)
-			binary.LittleEndian.PutUint32(m.mem[addr:], val)
-			return true
-		}
-		if pg := m.wrTab[pn]; pg != nil {
+	if addr < m.memSize {
+		if pg := m.wrTab[addr>>pageShift]; pg != nil {
 			binary.LittleEndian.PutUint32(pg[addr&(pageSize-1):], val)
 			return true
 		}
@@ -447,14 +433,8 @@ func (m *machine) store16(addr, val uint32, pc int) bool {
 		m.faultAt(TrapMemAlign, pc, addr)
 		return false
 	}
-	if addr+2 <= m.memSize && addr+2 > addr {
-		pn := addr >> pageShift
-		if !m.paged {
-			m.dirty[pn>>6] |= 1 << (pn & 63)
-			binary.LittleEndian.PutUint16(m.mem[addr:], uint16(val))
-			return true
-		}
-		if pg := m.wrTab[pn]; pg != nil {
+	if addr < m.memSize {
+		if pg := m.wrTab[addr>>pageShift]; pg != nil {
 			binary.LittleEndian.PutUint16(pg[addr&(pageSize-1):], uint16(val))
 			return true
 		}
@@ -466,13 +446,7 @@ func (m *machine) store16(addr, val uint32, pc int) bool {
 //etap:hotpath
 func (m *machine) store8(addr, val uint32, pc int) bool {
 	if addr < m.memSize {
-		pn := addr >> pageShift
-		if !m.paged {
-			m.dirty[pn>>6] |= 1 << (pn & 63)
-			m.mem[addr] = byte(val)
-			return true
-		}
-		if pg := m.wrTab[pn]; pg != nil {
+		if pg := m.wrTab[addr>>pageShift]; pg != nil {
 			pg[addr&(pageSize-1)] = byte(val)
 			return true
 		}

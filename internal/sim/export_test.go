@@ -10,8 +10,8 @@ func ReferenceRun(p *isa.Program, cfg Config) Result { return referenceRun(p, cf
 // reference interpreter retires under cfg, in eligible-stream order: entry
 // o-1 is the site of eligible ordinal o.
 func ReferenceSites(p *isa.Program, cfg Config) []int {
-	m, buf := newScratch(p, cfg.normalize())
-	defer buf.release()
+	m, rn := referenceMachine(p, cfg)
+	defer rn.Close()
 	var sites []int
 	m.run(func(pc int) { sites = append(sites, pc) })
 	return sites
@@ -35,9 +35,8 @@ type State struct {
 // (ascending): the run is budgeted to that stop, times out there, and
 // resumes. It reports how many stops were reached before the run ended.
 func ReferenceStates(p *isa.Program, cfg Config, stops []uint64, visit func(i int, s State)) int {
-	cfg = cfg.normalize()
-	m, buf := newScratch(p, cfg)
-	defer buf.release()
+	m, rn := referenceMachine(p, cfg)
+	defer rn.Close()
 	for i, stop := range stops {
 		m.cfg.MaxInstr = stop
 		m.run(nil)
@@ -61,23 +60,13 @@ func (m *machine) state() State {
 		Output:      append([]byte(nil), m.out...),
 		Pages:       map[uint32][pageSize]byte{},
 	}
-	switch {
-	case m.paged:
-		for pn, pg := range m.pageTab {
-			if pg != nil {
-				addNonzero(s.Pages, uint32(pn), pg)
-			}
+	for pn, pg := range m.pageTab {
+		if pg != nil {
+			addNonzero(s.Pages, uint32(pn), pg)
 		}
-		for pn, pg := range m.roSparse {
-			addNonzero(s.Pages, pn, pg)
-		}
-	default:
-		// Every flat write marks its page dirty, so unmarked pages are zero.
-		for pn := uint32(0); pn < m.memSize>>pageShift; pn++ {
-			if m.dirty[pn>>6]>>(pn&63)&1 == 1 {
-				addNonzero(s.Pages, pn, (*[pageSize]byte)(m.mem[pn<<pageShift:]))
-			}
-		}
+	}
+	for pn, pg := range m.roSparse {
+		addNonzero(s.Pages, pn, pg)
 	}
 	for pn, pg := range m.pages {
 		addNonzero(s.Pages, pn, pg)

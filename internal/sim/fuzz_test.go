@@ -86,7 +86,7 @@ func FuzzEngineEquivalence(f *testing.F) {
 			t.Skip()
 		}
 		cfg := Config{
-			// Small bounds keep a hostile random program cheap: 64 KiB flat
+			// Small bounds keep a hostile random program cheap: 64 KiB fast
 			// region, 8 sparse pages, 4 KiB output, a few thousand steps.
 			MemSize:   1 << 16,
 			MaxPages:  8,

@@ -1,92 +1,28 @@
-// Trial-state pooling: campaigns run millions of short trials, and before
-// this file every one of them allocated a fresh 8 MiB memory image (scratch
-// trials) or fresh page tables (restored trials). Both are
-// now recycled. Scratch memory comes from a sync.Pool of scratchBufs whose
-// per-page dirty bitmap — maintained by the flat store path — lets reset()
-// zero only the pages a trial actually wrote. Restored trials run on a
-// Runner, which keeps one machine, the page tables and the
-// sparse-page maps alive across all trials one campaign worker runs.
+// Trial-state pooling: campaigns run millions of short trials, and every
+// run — a plain Run, the golden pass and each trial — executes on the
+// copy-on-write page tables of a Runner (setup below). A Runner keeps one
+// machine, the page tables, the sparse-page maps and the private pages
+// delta-encoded checkpoint pages materialize into alive across all the
+// trials one campaign worker runs; throwaway Runners (Run, Record) draw
+// their page tables from a pool.
 //
-// Pooling invariants (see docs/PERF.md): a scratchBuf's mem is all-zero
-// outside pages marked in dirty — every write path through the machine
-// either goes via store()/store8/16/32 (which set the bit) or is followed
-// by markRange — and a Runner is single-goroutine, its machine state fully
-// reinitialised per trial, so no architectural state leaks between trials.
+// Pooling invariants (see docs/PERF.md): a machine owns no memory but its
+// private pages — pages shared with a base image or a checkpoint are read
+// only and copied on first write — and a Runner is single-goroutine, its
+// machine state fully reinitialised per run, so no architectural state
+// leaks between runs.
 package sim
 
 import (
 	"fmt"
-	mathbits "math/bits"
 	"sync"
 	"time"
+
+	"etap/internal/isa"
 )
 
-// scratchBuf is a pooled flat memory image plus its page-dirty bitmap.
-type scratchBuf struct {
-	mem   []byte
-	dirty []uint64
-}
-
-var scratchPool sync.Pool
-
-// acquireScratch returns a zeroed flat image of exactly size bytes,
-// reusing a pooled one when the geometry matches. Non-default sizes miss
-// the pool and allocate fresh, which is what every run did before pooling.
-func acquireScratch(size uint32) *scratchBuf {
-	if v := scratchPool.Get(); v != nil {
-		b := v.(*scratchBuf)
-		if uint32(len(b.mem)) == size {
-			return b
-		}
-	}
-	pages := (uint64(size) + pageSize - 1) >> pageShift
-	return &scratchBuf{
-		mem:   make([]byte, size),
-		dirty: make([]uint64, (pages+63)/64),
-	}
-}
-
-// markRange flags the pages covering [base, base+n) as dirty, for writes
-// that bypass the store path (the data-segment copy at machine setup).
-func (b *scratchBuf) markRange(base, n uint32) {
-	if n == 0 {
-		return
-	}
-	lo := base >> pageShift
-	hi := (base + n - 1) >> pageShift
-	for pn := lo; pn <= hi; pn++ {
-		b.dirty[pn>>6] |= 1 << (pn & 63)
-	}
-}
-
-// reset zeroes every dirtied page and clears the bitmap, restoring the
-// all-zero invariant.
-func (b *scratchBuf) reset() {
-	for w, word := range b.dirty {
-		for word != 0 {
-			bit := word & -word
-			word ^= bit
-			pn := w<<6 + mathbits.TrailingZeros64(bit)
-			lo := pn << pageShift
-			hi := lo + pageSize
-			if hi > len(b.mem) {
-				hi = len(b.mem)
-			}
-			clear(b.mem[lo:hi])
-		}
-		b.dirty[w] = 0
-	}
-}
-
-// release resets the buffer and returns it to the pool. The owning machine
-// must be dead: its Result has been taken and it will not run again.
-func (b *scratchBuf) release() {
-	b.reset()
-	scratchPool.Put(b)
-}
-
-// restoreBuf holds the copy-on-write page tables a restored machine
-// indexes by fast-region page number.
+// restoreBuf holds the copy-on-write page tables a machine indexes by
+// fast-region page number.
 type restoreBuf struct {
 	pageTab []*[pageSize]byte
 	wrTab   []*[pageSize]byte
@@ -108,7 +44,7 @@ func acquireRestore(fastPages int) *restoreBuf {
 }
 
 // Runner executes trials against one Recording while reusing all per-trial
-// state: the machine struct, the restore page tables, the sparse-page
+// state: the machine struct, the page tables, the sparse-page
 // maps and the private pages delta-encoded checkpoint pages materialize
 // into. It is not safe for concurrent use — each campaign
 // worker owns one — but any number of Runners may share a Recording.
@@ -134,6 +70,10 @@ func (r *Recording) NewRunner() *Runner {
 // Close returns pooled state. The Runner must not be used afterwards.
 func (rn *Runner) Close() {
 	if rn.rb != nil {
+		// Drop the page references so a pooled table keeps no run's
+		// memory alive.
+		clear(rn.rb.pageTab)
+		clear(rn.rb.wrTab)
 		restorePool.Put(rn.rb)
 		rn.rb = nil
 	}
@@ -157,17 +97,27 @@ func (rn *Runner) RunFrom(idx int, plan *FaultPlan, maxInstr uint64) Result {
 		// mis-place every injection and silently corrupt the trial.
 		panic(fmt.Sprintf("sim: RunFrom(%d): trial plan's eligibility mask (fingerprint %#x) differs from the recorded one (%#x); a recording's eligible-stream positions are meaningless under any other mask (use Run)", idx, maskFingerprint(plan.Eligible), r.maskFP))
 	}
+	m := rn.start(idx, cfg)
+	start := time.Now()
+	m.runEngine(r.code)
 	if idx < 0 {
-		m, buf := newScratch(r.prog, cfg)
-		start := time.Now()
-		m.runEngine(r.code)
 		recordRunMetrics(simRunsScratch, m.instret, time.Since(start))
-		res := m.result()
-		buf.release()
-		return res
+	} else {
+		// The machine resumed at the checkpoint; only the instructions
+		// actually re-executed count toward the process totals.
+		recordRunMetrics(simRunsRestore, m.instret-r.snaps[idx].Instret, time.Since(start))
 	}
+	return m.result()
+}
 
-	s := r.snaps[idx]
+// start readies the runner's machine to run the recording's program
+// under cfg: resumed at checkpoint idx, or at the program entry over the
+// base image when idx is -1. It is the one machine setup every run goes
+// through. Base-image and keyframe pages are shared read-only; delta
+// pages materialize into the runner's private pages, which the run then
+// writes in place.
+func (rn *Runner) start(idx int, cfg Config) *machine {
+	r := rn.rec
 	fastPages := int(cfg.MemSize >> pageShift)
 	if rn.rb == nil {
 		rn.rb = acquireRestore(fastPages)
@@ -180,25 +130,31 @@ func (rn *Runner) RunFrom(idx int, plan *FaultPlan, maxInstr uint64) Result {
 
 	m := &rn.m
 	*m = machine{
-		text:        r.prog.Text,
-		memSize:     cfg.MemSize,
-		paged:       true,
-		pageTab:     rb.pageTab,
-		wrTab:       rb.wrTab,
-		pages:       rn.pages,
-		roSparse:    rn.roSparse,
-		input:       cfg.Input,
-		cfg:         cfg,
-		pc:          s.PC,
-		classCounts: s.classCounts,
-		instret:     s.Instret,
-		eligCount:   s.EligCount,
-		inPos:       s.inPos,
-		out:         s.out,
+		text:     r.prog.Text,
+		memSize:  cfg.MemSize,
+		pageTab:  rb.pageTab,
+		wrTab:    rb.wrTab,
+		pages:    rn.pages,
+		roSparse: rn.roSparse,
+		input:    cfg.Input,
+		cfg:      cfg,
 	}
+	if cfg.Plan != nil {
+		m.injections = cfg.Plan.Injections
+	}
+	if idx < 0 {
+		m.pc = r.prog.Entry
+		m.regs[isa.RegSP] = cfg.MemSize - 16
+		return m
+	}
+	s := r.snaps[idx]
+	m.pc = s.PC
+	m.classCounts = s.classCounts
+	m.instret = s.Instret
+	m.eligCount = s.EligCount
+	m.inPos = s.inPos
+	m.out = s.out
 	copy(m.regs[:], s.regs[:])
-	// Keyframe pages are shared read-only; delta pages materialize into
-	// private pages the trial then writes in place.
 	own := 0
 	for pn, v := range s.pages {
 		pg, private := v.full, v.full == nil
@@ -222,13 +178,5 @@ func (rn *Runner) RunFrom(idx int, plan *FaultPlan, maxInstr uint64) Result {
 			}
 		}
 	}
-	if plan != nil {
-		m.injections = plan.Injections
-	}
-	start := time.Now()
-	m.runEngine(r.code)
-	// The machine resumed at s.Instret; only the instructions actually
-	// re-executed count toward the process totals.
-	recordRunMetrics(simRunsRestore, m.instret-s.Instret, time.Since(start))
-	return m.result()
+	return m
 }

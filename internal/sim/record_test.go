@@ -199,3 +199,82 @@ func TestDeltaChainsRestoreEverywhere(t *testing.T) {
 		}
 	}
 }
+
+// sparseProgram rewrites words of two pages beyond a 64 KiB fast region on
+// every iteration — a read-modify-write of one page and a byte store into
+// the other — besides spilling to the stack, so short checkpoint intervals
+// capture the same sparse pages changing again and again.
+const sparseProgram = `
+.text
+.func __start
+	li $t5, 0
+	lui $t8, 0x2
+	lui $t9, 0x3
+loop:
+	andi $t0, $t5, 15
+	sll $t0, $t0, 2
+	add $t1, $t8, $t0
+	lw $t2, 0($t1)
+	add $t2, $t2, $t5
+	sw $t2, 0($t1)
+	add $t3, $t9, $t0
+	sb $t5, 0($t3)
+	addi $sp, $sp, -4
+	sw $t2, 0($sp)
+	addi $t5, $t5, 1
+	slti $at, $t5, 400
+	bnez $at, loop
+	lw $a0, 0($t8)
+	li $v0, 1
+	syscall
+.endfunc
+`
+
+// TestRecordMatchesReferenceSparse pins the golden pass's handling of
+// pages beyond MemSize: every checkpoint of a program that rewrites
+// sparse pages between checkpoints must flatten, and restore, to exactly
+// the reference state at its Instret.
+func TestRecordMatchesReferenceSparse(t *testing.T) {
+	p, err := asm.Assemble(sparseProgram)
+	if err != nil {
+		t.Fatal(err)
+	}
+	elig := make([]bool, len(p.Text))
+	for i, in := range p.Text {
+		elig[i] = in.IsInjectable()
+	}
+	cfg := sim.Config{MemSize: 1 << 16, Plan: &sim.FaultPlan{Eligible: elig}}
+	rec, err := sim.Record(p, cfg, sim.RecordOptions{Interval: 64, MaxSnapshots: 32})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := sim.ReferenceRun(p, cfg); !reflect.DeepEqual(rec.Result, want) || want.Outcome != sim.OK {
+		t.Fatalf("golden result diverges from reference:\nrecord:    %+v\nreference: %+v", rec.Result, want)
+	}
+	snaps := rec.Snapshots()
+	if len(snaps) < 16 {
+		t.Fatalf("only %d checkpoints", len(snaps))
+	}
+	rn := rec.NewRunner()
+	defer rn.Close()
+	stops := make([]uint64, len(snaps))
+	for i, s := range snaps {
+		stops[i] = s.Instret
+	}
+	reached := sim.ReferenceStates(p, cfg, stops, func(i int, ref sim.State) {
+		for _, pn := range []uint32{0x20000 >> 12, 0x30000 >> 12} {
+			if _, ok := ref.Pages[pn]; !ok {
+				t.Fatalf("checkpoint %d: the reference holds no sparse page %#x", i, pn)
+			}
+		}
+		if got := rec.SnapshotState(i); !reflect.DeepEqual(got, ref) {
+			t.Errorf("checkpoint %d (instret %d) differs from the reference state", i, stops[i])
+		}
+		if got := rn.RestoredState(i); !reflect.DeepEqual(got, ref) {
+			t.Errorf("checkpoint %d (instret %d) restores to a state other than the reference", i, stops[i])
+		}
+	})
+	if reached != len(stops) {
+		t.Fatalf("reference ended after %d of %d checkpoints", reached, len(stops))
+	}
+}

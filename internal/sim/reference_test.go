@@ -12,11 +12,22 @@ import "etap/internal/isa"
 
 // referenceRun executes the program on the reference interpreter.
 func referenceRun(p *isa.Program, cfg Config) Result {
-	m, buf := newScratch(p, cfg.normalize())
+	m, rn := referenceMachine(p, cfg)
+	defer rn.Close()
 	m.run(nil)
-	res := m.result()
-	buf.release()
-	return res
+	return m.result()
+}
+
+// referenceMachine starts a machine at p's entry under cfg through the
+// machine setup every engine run goes through. Close the Runner once the
+// machine is done.
+func referenceMachine(p *isa.Program, cfg Config) (*machine, *Runner) {
+	r, err := newRecording(p, cfg)
+	if err != nil {
+		panic(err)
+	}
+	rn := r.NewRunner()
+	return rn.start(-1, cfg.normalize()), rn
 }
 
 // run interprets instructions until the program ends or m.cfg.MaxInstr

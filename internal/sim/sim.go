@@ -30,7 +30,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"time"
 
 	"etap/internal/isa"
 )
@@ -147,9 +146,10 @@ type FaultPlan struct {
 
 // Config parameterises one run.
 type Config struct {
-	// MemSize is the size of the directly backed (fast) memory region,
-	// which holds the data segment and the stack. Defaults to 8 MiB.
-	// Addresses beyond it fall into demand-allocated sparse pages.
+	// MemSize is the size of the page-table-backed (fast) memory region,
+	// which holds the data segment and the stack. Defaults to 8 MiB and
+	// must be a multiple of the 4 KiB page. Addresses beyond it fall into
+	// demand-allocated sparse pages.
 	MemSize uint32
 	// MaxInstr is the instruction budget; exceeding it yields Timeout.
 	// Defaults to 1<<32.
@@ -216,6 +216,15 @@ func (r Result) DetectLatency() (lat uint64, ok bool) {
 	return r.DetectInstret - r.FirstInjectInstret, true
 }
 
+// EligibleFraction is the eligible share of the executed instructions
+// (EligibleExec over Instret), 0 for an empty run.
+func (r Result) EligibleFraction() float64 {
+	if r.Instret == 0 {
+		return 0
+	}
+	return float64(r.EligibleExec) / float64(r.Instret)
+}
+
 const pageShift = 12
 const pageSize = 1 << pageShift
 
@@ -239,6 +248,13 @@ func (c Config) normalize() Config {
 
 // Run executes the program to completion under cfg.
 //
+// Like every run, Run executes on copy-on-write pages (Runner.start):
+// memory starts as the program's base image, the data segment in shared
+// read-only pages; pages never written read as zero, and a store copies
+// or allocates its page on first write. The fast region must therefore
+// end on a page boundary, so an unaligned cfg.MemSize panics with the
+// error Record returns for it.
+//
 // Execution happens on the predecoded engine (predecode.go, engine.go):
 // each call compiles the text segment under the plan's eligibility mask
 // into a dense superinstruction stream, in time linear in the text, and
@@ -246,42 +262,11 @@ func (c Config) normalize() Config {
 // to a per-step reference interpreter that lives with the tests
 // (TestEngineMatchesReference, FuzzEngineEquivalence).
 func Run(p *isa.Program, cfg Config) Result {
-	cfg = cfg.normalize()
-	var mask []bool
-	if cfg.Plan != nil {
-		mask = cfg.Plan.Eligible
+	r, err := newRecording(p, cfg)
+	if err != nil {
+		panic(err)
 	}
-	code := compile(p.Text, mask, nil)
-	m, buf := newScratch(p, cfg)
-	start := time.Now()
-	m.runEngine(code)
-	recordRunMetrics(simRunsScratch, m.instret, time.Since(start))
-	res := m.result()
-	buf.release()
-	return res
-}
-
-// newScratch assembles a from-scratch machine over pooled flat memory.
-// cfg must be normalized. The caller releases buf once the machine's
-// Result has been taken.
-func newScratch(p *isa.Program, cfg Config) (*machine, *scratchBuf) {
-	buf := acquireScratch(cfg.MemSize)
-	m := &machine{
-		text:    p.Text,
-		mem:     buf.mem,
-		dirty:   buf.dirty,
-		memSize: cfg.MemSize,
-		input:   cfg.Input,
-		cfg:     cfg,
-	}
-	n := copy(m.mem[isa.DataBase:], p.Data)
-	buf.markRange(isa.DataBase, uint32(n))
-	m.regs[isa.RegSP] = cfg.MemSize - 16
-	m.pc = p.Entry
-	if cfg.Plan != nil {
-		m.injections = cfg.Plan.Injections
-	}
-	return m, buf
+	return r.RunFrom(-1, cfg.Plan, 0)
 }
 
 // result snapshots the machine's architecturally visible end state; Run,
@@ -329,30 +314,25 @@ type machine struct {
 	// check in the hot loop. Only regs[:isa.NumRegs] is architectural; the
 	// sink and the slack are never read.
 	regs    [256]uint32
-	mem     []byte
 	memSize uint32
-	pages   map[uint32]*[pageSize]byte
 	pc      int
 
-	// dirty is a per-page bitmap over a flat machine's mem, maintained by
-	// the flat store path so the pool can reset only written pages
-	// (pool.go) and Record can copy only pages written since the last
-	// checkpoint (snapshot.go).
-	dirty []uint64
-
-	// Paged mode replaces the flat mem array with a page table over the
-	// fast region, so a machine can be restored from a Snapshot without
-	// copying memory: restored pages are shared read-only and copied on
-	// first write. pageTab and wrTab are indexed by page number — wrTab
-	// holds only this machine's private (writable) copies, so a store fast
-	// path is a single lookup; a page present in pageTab but not wrTab is
-	// shared read-only. roSparse holds snapshot pages beyond the fast
-	// region that have not been written yet (they migrate into pages on
-	// first store).
-	paged    bool
+	// Memory is paged copy-on-write. pageTab and wrTab cover the fast
+	// region and are indexed by page number: pageTab maps every present
+	// page, wrTab only this machine's private (writable) copies, so a
+	// store fast path is a single lookup; a page present in pageTab but
+	// not wrTab is shared read-only (a base-image or checkpoint page) and
+	// is copied on first write. Beyond the fast region, pages holds the
+	// private demand-allocated pages and roSparse the shared ones not yet
+	// written (they migrate into pages on first store).
 	pageTab  []*[pageSize]byte
 	wrTab    []*[pageSize]byte
+	pages    map[uint32]*[pageSize]byte
 	roSparse map[uint32]*[pageSize]byte
+	// spare holds pages the golden pass retired (recorder.freeze), so its
+	// copy-on-write reuses them instead of allocating; empty outside
+	// Record.
+	spare []*[pageSize]byte
 
 	// marks is the golden pass's bitmap over eligible-stream ordinals
 	// that retired at a marked site (see mark); nil outside Record.
@@ -387,33 +367,11 @@ func (m *machine) load(addr, size uint32) (uint32, bool) {
 		m.fault(TrapMemAlign, addr)
 		return 0, false
 	}
-	var buf []byte
-	if m.paged {
-		pn := addr >> pageShift
-		if addr < m.memSize {
-			pg := m.pageTab[pn]
-			if pg == nil {
-				return 0, true
-			}
-			buf = pg[addr&(pageSize-1):]
-		} else {
-			pg, ok := m.pages[pn]
-			if !ok {
-				if pg, ok = m.roSparse[pn]; !ok {
-					return 0, true
-				}
-			}
-			buf = pg[addr&(pageSize-1):]
-		}
-	} else if addr+size <= m.memSize && addr+size > addr {
-		buf = m.mem[addr:]
-	} else {
-		pg, ok := m.pages[addr>>pageShift]
-		if !ok {
-			return 0, true // lazily-allocated memory reads as zero
-		}
-		buf = pg[addr&(pageSize-1):]
+	pg := m.page(addr)
+	if pg == nil {
+		return 0, true // lazily-allocated memory reads as zero
 	}
+	buf := pg[addr&(pageSize-1):]
 	switch size {
 	case 1:
 		return uint32(buf[0]), true
@@ -429,31 +387,9 @@ func (m *machine) store(addr, size, val uint32) bool {
 		m.fault(TrapMemAlign, addr)
 		return false
 	}
-	var buf []byte
-	if m.paged {
-		buf = m.storeSlot(addr)
-		if buf == nil {
-			return false
-		}
-	} else if addr+size <= m.memSize && addr+size > addr {
-		buf = m.mem[addr:]
-		pn := addr >> pageShift
-		m.dirty[pn>>6] |= 1 << (pn & 63)
-	} else {
-		pn := addr >> pageShift
-		pg, ok := m.pages[pn]
-		if !ok {
-			if len(m.pages) >= m.cfg.MaxPages {
-				m.fault(TrapMemExhausted, addr)
-				return false
-			}
-			if m.pages == nil {
-				m.pages = make(map[uint32]*[pageSize]byte)
-			}
-			pg = new([pageSize]byte)
-			m.pages[pn] = pg
-		}
-		buf = pg[addr&(pageSize-1):]
+	buf := m.storeSlot(addr)
+	if buf == nil {
+		return false
 	}
 	switch size {
 	case 1:
@@ -466,18 +402,14 @@ func (m *machine) store(addr, size, val uint32) bool {
 	return true
 }
 
-// storeSlot resolves the writable byte slice backing addr in paged mode,
-// copying shared snapshot pages on first write. It returns nil after
-// raising a fault.
+// storeSlot resolves the writable byte slice backing addr, copying a
+// shared page on first write. It returns nil after raising a fault.
 func (m *machine) storeSlot(addr uint32) []byte {
 	pn := addr >> pageShift
 	if addr < m.memSize {
 		pg := m.wrTab[pn]
 		if pg == nil {
-			pg = new([pageSize]byte)
-			if ro := m.pageTab[pn]; ro != nil {
-				*pg = *ro
-			}
+			pg = m.newPage(m.pageTab[pn])
 			m.pageTab[pn] = pg
 			m.wrTab[pn] = pg
 		}
@@ -487,48 +419,56 @@ func (m *machine) storeSlot(addr uint32) []byte {
 	if !ok {
 		if ro, rok := m.roSparse[pn]; rok {
 			// Copy-on-write migration keeps the demand-page count equal
-			// to what a from-scratch run would have accumulated.
-			pg = new([pageSize]byte)
-			*pg = *ro
+			// to what a run that never shared the page would have.
+			pg = m.newPage(ro)
 			delete(m.roSparse, pn)
 		} else {
 			if len(m.pages)+len(m.roSparse) >= m.cfg.MaxPages {
 				m.fault(TrapMemExhausted, addr)
 				return nil
 			}
-			pg = new([pageSize]byte)
-		}
-		if m.pages == nil {
-			m.pages = make(map[uint32]*[pageSize]byte)
+			pg = m.newPage(nil)
 		}
 		m.pages[pn] = pg
 	}
 	return pg[addr&(pageSize-1):]
 }
 
-// peek reads one byte honouring the sparse model (absent pages read as
-// zero) in both flat and paged modes.
-func (m *machine) peek(a uint32) byte {
-	pn := a >> pageShift
-	if m.paged {
-		if a < m.memSize {
-			if pg := m.pageTab[pn]; pg != nil {
-				return pg[a&(pageSize-1)]
-			}
-			return 0
+// newPage returns a private page holding a copy of src, or zeroes when
+// src is nil: a spare page if there is one, else a fresh one.
+func (m *machine) newPage(src *[pageSize]byte) *[pageSize]byte {
+	var pg *[pageSize]byte
+	if n := len(m.spare); n > 0 {
+		pg, m.spare = m.spare[n-1], m.spare[:n-1]
+		if src == nil {
+			*pg = [pageSize]byte{}
 		}
-		if pg, ok := m.pages[pn]; ok {
-			return pg[a&(pageSize-1)]
-		}
-		if pg, ok := m.roSparse[pn]; ok {
-			return pg[a&(pageSize-1)]
-		}
-		return 0
+	} else {
+		pg = new([pageSize]byte)
 	}
-	if a < m.memSize {
-		return m.mem[a]
+	if src != nil {
+		*pg = *src
+	}
+	return pg
+}
+
+// page returns the page backing addr for reading, or nil when it was
+// never written (and so reads as zero).
+func (m *machine) page(addr uint32) *[pageSize]byte {
+	pn := addr >> pageShift
+	if addr < m.memSize {
+		return m.pageTab[pn]
 	}
 	if pg, ok := m.pages[pn]; ok {
+		return pg
+	}
+	return m.roSparse[pn]
+}
+
+// peek reads one byte honouring the sparse model (absent pages read as
+// zero).
+func (m *machine) peek(a uint32) byte {
+	if pg := m.page(a); pg != nil {
 		return pg[a&(pageSize-1)]
 	}
 	return 0

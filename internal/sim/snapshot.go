@@ -187,35 +187,29 @@ type recorder struct {
 	next     uint64
 	maxSnaps int
 
-	written []uint64                   // fast-region pages the pass wrote before the last capture
 	latest  map[uint32]*pageVersion    // newest stored version of every page written since run start
-	image   map[uint32]*[pageSize]byte // latest's image, the base the next delta is taken against
+	image   map[uint32]*[pageSize]byte // latest's image (a frozen machine page), the base of the next delta
 	hist    map[uint32][]*pageVersion  // every live version per page, oldest first
 	scratch []byte                     // delta encoding buffer
 	snaps   []*Snapshot
 }
 
 // capture stores the pages written since the previous checkpoint and
-// snapshots the machine state between instructions. Between captures the
-// machine's dirty bitmap holds exactly the fast-region pages written
-// since the last one: capture stores them, moves their bits into written
-// (so the scratch pool can still zero every page the pass wrote) and
-// clears the bitmap. Sparse pages carry no dirty bits; each is offered
-// to store, which keeps it only when it changed.
+// snapshots the machine state between instructions. The machine's
+// private pages — wrTab in the fast region, pages beyond it — are
+// exactly the pages written since the last capture: capture freezes
+// each one, so the next write to it copy-on-writes again.
 func (r *recorder) capture(m *machine) {
-	for w, word := range m.dirty {
-		r.written[w] |= word
-		for word != 0 {
-			b := word & -word
-			word ^= b
-			pn := uint32(w)<<6 + uint32(mathbits.TrailingZeros64(b))
-			r.store(pn, (*[pageSize]byte)(m.mem[pn<<pageShift:]))
+	for pn, pg := range m.wrTab {
+		if pg != nil {
+			m.pageTab[pn] = r.freeze(m, uint32(pn), pg)
+			m.wrTab[pn] = nil
 		}
-		m.dirty[w] = 0
 	}
 	for pn, pg := range m.pages {
-		r.store(pn, pg)
+		m.roSparse[pn] = r.freeze(m, pn, pg)
 	}
+	clear(m.pages)
 	pages := make(map[uint32]*pageVersion, len(r.latest))
 	for pn, v := range r.latest {
 		pages[pn] = v
@@ -246,22 +240,28 @@ func (r *recorder) capture(m *machine) {
 	}
 }
 
-// store records pg as page pn's newest version: nothing when it equals
-// the latest version, else a delta against it, or a keyframe for a
-// page's first version, a chain at its bound or a delta no smaller than
-// half a page.
-func (r *recorder) store(pn uint32, pg *[pageSize]byte) {
+// freeze stores the machine's private page pg as page pn's newest
+// version — nothing when it equals the latest version, else a delta
+// against it, or a keyframe for a page's first version, a chain at its
+// bound or a delta no smaller than half a page — and returns the page
+// the machine shares read-only from now on. That page is the recorder's
+// image of pn, the base of its next delta, so no copy is made; the page
+// it supersedes (the previous image, or pg when unchanged) is referenced
+// nowhere else and goes to the machine's spare list.
+func (r *recorder) freeze(m *machine, pn uint32, pg *[pageSize]byte) *[pageSize]byte {
 	img := r.image[pn]
-	if img == nil {
-		img = new([pageSize]byte)
-		r.image[pn] = img
-	} else if *img == *pg {
-		return
+	if img != nil && *img == *pg {
+		m.spare = append(m.spare, pg)
+		return img
 	}
 	v := r.encode(r.latest[pn], img, pg)
-	*img = *pg
+	if img != nil {
+		m.spare = append(m.spare, img)
+	}
+	r.image[pn] = pg
 	r.latest[pn] = v
 	r.hist[pn] = append(r.hist[pn], v)
+	return pg
 }
 
 // encode returns a version holding cur: a delta against prev, whose
@@ -328,36 +328,29 @@ func (r *recorder) rechain() {
 // the statically benign sites, so pruning costs no extra pass.
 func Record(p *isa.Program, cfg Config, opt RecordOptions, mark ...bool) (*Recording, error) {
 	opt = opt.withDefaults()
-	cfg = cfg.normalize()
-	if cfg.MemSize%pageSize != 0 {
-		return nil, fmt.Errorf("sim: MemSize %d is not a multiple of the %d-byte page", cfg.MemSize, pageSize)
-	}
 	if cfg.Plan != nil && len(cfg.Plan.Injections) > 0 {
 		return nil, fmt.Errorf("sim: cannot record a golden pass with injections scheduled")
 	}
-	var elig []bool
-	if cfg.Plan != nil {
-		elig = cfg.Plan.Eligible
+	r, err := newRecording(p, cfg)
+	if err != nil {
+		return nil, err
 	}
-	code := compile(p.Text, elig, nil)
-	golden := code
+	golden := r.code
 	if len(mark) > 0 {
-		golden = compile(p.Text, elig, mark)
+		golden = compile(p.Text, r.elig, mark)
 	}
 
-	m, buf := newScratch(p, cfg)
+	rn := r.NewRunner()
+	defer rn.Close()
+	m := rn.start(-1, r.cfg)
 	rec := &recorder{
 		interval: opt.Interval,
 		next:     opt.Interval,
 		maxSnaps: opt.MaxSnapshots,
-		written:  make([]uint64, len(m.dirty)),
 		latest:   make(map[uint32]*pageVersion),
 		image:    make(map[uint32]*[pageSize]byte),
 		hist:     make(map[uint32][]*pageVersion),
 	}
-	// The data-segment copy is in the base image, not in any checkpoint.
-	copy(rec.written, m.dirty)
-	clear(m.dirty)
 
 	// The golden pass runs on the engine in segments that end at the next
 	// checkpoint: the segment bound is a budget, and the engine stops
@@ -366,9 +359,9 @@ func Record(p *isa.Program, cfg Config, opt RecordOptions, mark ...bool) (*Recor
 	// the end of the run.
 	start := time.Now()
 	for {
-		m.cfg.MaxInstr = min(rec.next, cfg.MaxInstr)
+		m.cfg.MaxInstr = min(rec.next, r.cfg.MaxInstr)
 		m.runEngine(golden)
-		if m.outcome != Timeout || m.instret != rec.next || rec.next >= cfg.MaxInstr {
+		if m.outcome != Timeout || m.instret != rec.next || rec.next >= r.cfg.MaxInstr {
 			break
 		}
 		m.outcome = OK
@@ -377,51 +370,63 @@ func Record(p *isa.Program, cfg Config, opt RecordOptions, mark ...bool) (*Recor
 	recordRunMetrics(simRunsRecord, m.instret, time.Since(start))
 	simCheckpoints.Add(float64(len(rec.snaps)))
 
-	res := m.result()
-	for w, word := range rec.written {
-		m.dirty[w] |= word
-	}
-	buf.release()
+	r.Result = m.result()
 	for _, s := range rec.snaps {
-		s.out = res.Output[:s.outLen:s.outLen]
+		s.out = r.Result.Output[:s.outLen:s.outLen]
 	}
+	r.snaps = rec.snaps
+	r.marks = m.marks
+	return r, nil
+}
 
-	// Build the pristine fast-region image once: the data segment split
-	// into shared read-only pages. Restored machines overlay checkpoint
-	// pages on top of it. Iterating page numbers covers the final partial
-	// page even if DataBase is not page-aligned.
-	fastPages := cfg.MemSize >> pageShift
-	base := make([]*[pageSize]byte, fastPages)
-	if len(p.Data) > 0 {
-		first := isa.DataBase >> pageShift
-		last := (isa.DataBase + uint32(len(p.Data)) - 1) >> pageShift
-		for pn := first; pn <= last; pn++ {
-			pg := new([pageSize]byte)
-			off := int(pn)<<pageShift - int(isa.DataBase) // data offset of the page start
-			dst, src := pg[:], p.Data
-			if off >= 0 {
-				src = p.Data[off:]
-			} else {
-				dst = pg[-off:]
-			}
-			copy(dst, src)
-			base[pn] = pg
-		}
+// newRecording normalizes cfg and returns what every run starts from
+// before any checkpoint exists: the program, its base image, and its
+// stream compiled under cfg's eligibility mask, with the plan stripped
+// from the stored config. It rejects a MemSize that is not page-aligned,
+// so the fast/sparse boundary coincides with a page boundary.
+func newRecording(p *isa.Program, cfg Config) (*Recording, error) {
+	cfg = cfg.normalize()
+	if cfg.MemSize%pageSize != 0 {
+		return nil, fmt.Errorf("sim: MemSize %d is not a multiple of the %d-byte page", cfg.MemSize, pageSize)
 	}
-
-	strip := cfg
-	strip.Plan = nil
+	var elig []bool
+	if cfg.Plan != nil {
+		elig = cfg.Plan.Eligible
+	}
+	cfg.Plan = nil
 	return &Recording{
-		Result: res,
 		prog:   p,
-		cfg:    strip,
-		snaps:  rec.snaps,
-		base:   base,
+		cfg:    cfg,
+		base:   baseImage(p, cfg.MemSize),
 		elig:   elig,
 		maskFP: maskFingerprint(elig),
-		code:   code,
-		marks:  m.marks,
+		code:   compile(p.Text, elig, nil),
 	}, nil
+}
+
+// baseImage is the pristine fast-region image: the data segment split
+// into pages that machines share read-only. Iterating page numbers
+// covers the final partial page even if DataBase is not page-aligned.
+func baseImage(p *isa.Program, memSize uint32) []*[pageSize]byte {
+	base := make([]*[pageSize]byte, memSize>>pageShift)
+	if len(p.Data) == 0 {
+		return base
+	}
+	first := isa.DataBase >> pageShift
+	last := (isa.DataBase + uint32(len(p.Data)) - 1) >> pageShift
+	for pn := first; pn <= last; pn++ {
+		pg := new([pageSize]byte)
+		off := int(pn)<<pageShift - int(isa.DataBase) // data offset of the page start
+		dst, src := pg[:], p.Data
+		if off >= 0 {
+			src = p.Data[off:]
+		} else {
+			dst = pg[-off:]
+		}
+		copy(dst, src)
+		base[pn] = pg
+	}
+	return base
 }
 
 // Marked reports whether eligible-stream ordinal o (1-based) of the golden

@@ -2,6 +2,7 @@ package sim_test
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -290,6 +291,27 @@ func TestRecordRejectsBadConfig(t *testing.T) {
 	if _, err := sim.Record(p, bad, sim.RecordOptions{}); err == nil {
 		t.Fatal("golden pass with injections accepted")
 	}
+}
+
+// TestRunRejectsUnalignedMemSize: every run executes on page tables whose
+// fast region ends on a page boundary, so Run fails fast on an unaligned
+// MemSize with the error Record returns for it.
+func TestRunRejectsUnalignedMemSize(t *testing.T) {
+	p, err := asm.Assemble(snapProgram)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := sim.Config{MemSize: 12345}
+	_, want := sim.Record(p, cfg, sim.RecordOptions{})
+	if want == nil {
+		t.Fatal("Record accepted an unaligned MemSize")
+	}
+	defer func() {
+		if got := recover(); got == nil || fmt.Sprint(got) != want.Error() {
+			t.Fatalf("Run panicked with %v, want %q", got, want)
+		}
+	}()
+	sim.Run(p, cfg)
 }
 
 func resultsEqual(a, b sim.Result) bool {
