@@ -193,25 +193,18 @@ func (e *Engine) EligibleFraction() float64 { return e.Clean.EligibleFraction() 
 
 // RunPlan executes one trial under a prepared plan, resuming from the
 // latest checkpoint before the plan's first injection (or, with no
-// injections, from the final checkpoint). The plan's eligibility mask must
-// be the engine's.
+// injections, from the final checkpoint) within the budget
+// (sim.Recording.ResumeIdx). The plan's eligibility mask must be the
+// engine's.
 func (e *Engine) RunPlan(plan *sim.FaultPlan) sim.Result {
-	return e.rec.RunFrom(e.planIdx(plan), plan, e.Budget)
+	return e.rec.RunFrom(e.rec.ResumeIdx(plan, e.Budget), plan, e.Budget)
 }
 
 // RunPlanRecover is RunPlan with checkpoint-restore recovery applied to
 // Detected trials: up to maxAttempts restore-replay rounds per trial (see
 // Point.MaxRecoveries). maxAttempts 0 degenerates to RunPlan.
 func (e *Engine) RunPlanRecover(plan *sim.FaultPlan, maxAttempts int) sim.Result {
-	return e.rec.RunRecover(e.planIdx(plan), plan, e.Budget, sim.RecoveryPolicy{MaxAttempts: maxAttempts})
-}
-
-// planIdx picks the checkpoint a trial plan resumes from.
-func (e *Engine) planIdx(plan *sim.FaultPlan) int {
-	if len(plan.Injections) > 0 {
-		return e.rec.SnapshotBefore(plan.Injections[0].At)
-	}
-	return len(e.rec.Snapshots()) - 1
+	return e.rec.RunRecover(e.rec.ResumeIdx(plan, e.Budget), plan, e.Budget, sim.RecoveryPolicy{MaxAttempts: maxAttempts})
 }
 
 // Run executes one faulty trial with n errors, deterministic in seed.
@@ -298,7 +291,8 @@ type Trial struct {
 	DetectKind string
 	// RecoveryAttempts counts the checkpoint restore-replay rounds the
 	// trial consumed (Point.MaxRecoveries), and RecoverInstret the
-	// instructions those replays retired. Both are zero with recovery
+	// instructions those replays retired, counted from each rollback
+	// checkpoint (sim.Result.RecoverInstret). Both are zero with recovery
 	// disabled or for trials that never trapped.
 	RecoveryAttempts int
 	RecoverInstret   uint64
@@ -614,7 +608,7 @@ func (e *Engine) runTrial(rn *sim.Runner, span *obstrace.Span, j job) Trial {
 		e.pruned.Add(1)
 		campTrialsPruned.Inc()
 	} else {
-		res := rn.RunRecover(e.planIdx(j.plan), j.plan, e.Budget, sim.RecoveryPolicy{MaxAttempts: j.c.pt.MaxRecoveries})
+		res := rn.RunRecover(e.rec.ResumeIdx(j.plan, e.Budget), j.plan, e.Budget, sim.RecoveryPolicy{MaxAttempts: j.c.pt.MaxRecoveries})
 		tr.Outcome, tr.Instret, tr.Injected = res.Outcome, res.Instret, res.Injected
 		tr.RecoveryAttempts, tr.RecoverInstret = res.RecoveryAttempts, res.RecoverInstret
 		tr.DetectLatency, tr.HasLatency = res.DetectLatency()

@@ -36,13 +36,13 @@ func buildApp(t testing.TB, app apps.App) *core.Report {
 }
 
 // hardenApp is buildApp plus the default dup+cfs hardening rewrite.
-func hardenApp(t testing.TB, app apps.App) *isa.Program {
+func hardenApp(t testing.TB, app apps.App) *harden.Result {
 	t.Helper()
 	res, err := harden.Harden(buildApp(t, app), harden.DefaultOptions())
 	if err != nil {
 		t.Fatalf("%s: harden: %v", app.Name(), err)
 	}
-	return res.Prog
+	return res
 }
 
 // diffApp runs prog under cfg on both engines and requires equal Results.
@@ -123,7 +123,7 @@ func TestEngineMatchesReferenceOnHardenedApps(t *testing.T) {
 		app := app
 		t.Run(app.Name(), func(t *testing.T) {
 			t.Parallel()
-			prog := hardenApp(t, app)
+			prog := hardenApp(t, app).Prog
 			input := app.Input()
 			clean := diffApp(t, "clean", prog, sim.Config{Input: input})
 			if clean.Outcome != sim.OK {

@@ -1,6 +1,10 @@
 package sim
 
-import "etap/internal/isa"
+import (
+	"bytes"
+
+	"etap/internal/isa"
+)
 
 // ReferenceRun executes the program on the reference interpreter
 // (reference_test.go), the oracle the engine is pinned against.
@@ -79,6 +83,53 @@ func (m *machine) state() State {
 func (rn *Runner) RestoredState(idx int) State {
 	rn.RunFrom(idx, nil, rn.rec.snaps[idx].Instret)
 	return rn.m.state()
+}
+
+// ReferenceRunRecover is RunRecover as the rollback model states it:
+// every replay resumes at its rollback checkpoint and re-simulates the
+// golden prefix the production path skips. It is the oracle RunRecover's
+// resume point is pinned against.
+func (r *Recording) ReferenceRunRecover(idx int, plan *FaultPlan, maxInstr uint64, pol RecoveryPolicy) Result {
+	rn := r.NewRunner()
+	defer rn.Close()
+	res := rn.RunFrom(idx, plan, maxInstr)
+	if !pol.Enabled() || res.Outcome != Detected || plan == nil {
+		return res
+	}
+	budget := maxInstr
+	if budget == 0 {
+		budget = r.cfg.MaxInstr
+	}
+	spent := res.Instret - snapInstret(r, idx)
+	fired := res.Injected
+	first := res.FirstInjectInstret
+	attempts := 0
+	var replayed uint64
+	for res.Outcome == Detected && attempts < pol.MaxAttempts && spent < budget {
+		rIdx := r.SnapshotBefore(res.EligibleExec + 1)
+		replay := plan
+		if fired > 0 {
+			replay = &FaultPlan{Eligible: plan.Eligible, Injections: plan.Injections[fired:]}
+		}
+		base := snapInstret(r, rIdx)
+		attempts++
+		res = rn.RunFrom(rIdx, replay, base+(budget-spent))
+		work := res.Instret - base
+		spent += work
+		replayed += work
+		if res.Injected > 0 && first == 0 {
+			first = res.FirstInjectInstret
+		}
+		fired += res.Injected
+	}
+	res.Injected = fired
+	res.FirstInjectInstret = first
+	res.RecoveryAttempts = attempts
+	res.RecoverInstret = replayed
+	if res.Outcome == OK && bytes.Equal(res.Output, r.Result.Output) {
+		res.Outcome = Recovered
+	}
+	return res
 }
 
 // KeyframeEvery is the delta-chain bound of stored checkpoint pages.

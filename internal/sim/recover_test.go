@@ -2,10 +2,13 @@ package sim_test
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 
+	"etap/internal/apps/all"
 	"etap/internal/asm"
+	"etap/internal/fault"
 	"etap/internal/isa"
 	"etap/internal/sim"
 )
@@ -79,19 +82,10 @@ func recordDetect(t *testing.T) (*sim.Recording, *sim.FaultPlan) {
 	return rec, &sim.FaultPlan{Eligible: elig}
 }
 
-// startFor picks the checkpoint a trial plan would resume from, mirroring
-// the campaign engine's planIdx.
-func startFor(rec *sim.Recording, plan *sim.FaultPlan) int {
-	if len(plan.Injections) > 0 {
-		return rec.SnapshotBefore(plan.Injections[0].At)
-	}
-	return len(rec.Snapshots()) - 1
-}
-
 func TestRunRecoverRestoresGoldenOutput(t *testing.T) {
 	rec, base := recordDetect(t)
 	plan := &sim.FaultPlan{Eligible: base.Eligible, Injections: []sim.Injection{{At: 150, Bit: 5}}}
-	idx := startFor(rec, plan)
+	idx := rec.ResumeIdx(plan, 0)
 
 	detected := rec.RunFrom(idx, plan, 0)
 	if detected.Outcome != sim.Detected {
@@ -129,7 +123,7 @@ func TestRunRecoverRestoresGoldenOutput(t *testing.T) {
 func TestRunRecoverReplaysRemainingInjections(t *testing.T) {
 	rec, base := recordDetect(t)
 	plan := &sim.FaultPlan{Eligible: base.Eligible, Injections: []sim.Injection{{At: 100, Bit: 2}, {At: 200, Bit: 9}}}
-	idx := startFor(rec, plan)
+	idx := rec.ResumeIdx(plan, 0)
 
 	res := rec.RunRecover(idx, plan, 0, sim.RecoveryPolicy{MaxAttempts: 3})
 	if res.Outcome != sim.Recovered {
@@ -151,7 +145,7 @@ func TestRunRecoverReplaysRemainingInjections(t *testing.T) {
 func TestRunRecoverAttemptsExhausted(t *testing.T) {
 	rec, base := recordDetect(t)
 	plan := &sim.FaultPlan{Eligible: base.Eligible, Injections: []sim.Injection{{At: 100, Bit: 2}, {At: 200, Bit: 9}}}
-	idx := startFor(rec, plan)
+	idx := rec.ResumeIdx(plan, 0)
 
 	res := rec.RunRecover(idx, plan, 0, sim.RecoveryPolicy{MaxAttempts: 1})
 	if res.Outcome != sim.Detected {
@@ -195,6 +189,149 @@ func TestRunRecoverBudgetAccounting(t *testing.T) {
 	if res.RecoverInstret == 0 || res.RecoverInstret > detected.Instret+10 {
 		t.Fatalf("implausible replay work %d for budget %d", res.RecoverInstret, detected.Instret+10)
 	}
+
+	// Two flips with checkpoints between them: the first replay resumes
+	// past its rollback point, at the checkpoint before the second flip,
+	// yet is charged from the rollback point, and the budget it leaves is
+	// what the second replay may spend. Every budget whose replay limit
+	// lands on a checkpoint, between two, or short of the second replay's
+	// end must give the rollback model's result.
+	plan = &sim.FaultPlan{Eligible: base.Eligible, Injections: []sim.Injection{{At: 100, Bit: 2}, {At: 200, Bit: 9}}}
+	first := rec.RunFrom(-1, plan, 0)
+	pol := sim.RecoveryPolicy{MaxAttempts: 3}
+	full := rec.ReferenceRunRecover(-1, plan, 0, pol)
+	if first.Outcome != sim.Detected || full.Outcome != sim.Recovered || full.RecoveryAttempts != 2 {
+		t.Fatalf("two-flip plan: first run %s, oracle %s after %d attempts; want detected, then recovered after 2",
+			first.Outcome, full.Outcome, full.RecoveryAttempts)
+	}
+	snaps := rec.Snapshots()
+	rIdx := rec.SnapshotBefore(first.EligibleExec + 1)
+	resume := rec.SnapshotBefore(plan.Injections[1].At)
+	if resume <= rIdx+1 {
+		t.Fatalf("rollback checkpoint %d, resume checkpoint %d: the test needs checkpoints between them", rIdx, resume)
+	}
+	rollback := snaps[rIdx].Instret
+	// spend turns a first-replay limit into the trial budget that yields it.
+	spend := func(limit uint64) uint64 { return first.Instret + limit - rollback }
+	budgets := []uint64{spend(snaps[resume].Instret), spend(snaps[resume].Instret + 3), spend(snaps[rIdx+1].Instret)}
+	for _, cut := range []uint64{1, 5, 40} {
+		budgets = append(budgets, first.Instret+full.RecoverInstret-cut)
+	}
+	for _, b := range budgets {
+		got := rec.RunRecover(-1, plan, b, pol)
+		want := rec.ReferenceRunRecover(-1, plan, b, pol)
+		if got.Outcome != sim.Timeout {
+			t.Fatalf("budget %d: outcome %s, want timeout", b, got.Outcome)
+		}
+		if !recoverEqual(got, want) {
+			t.Fatalf("budget %d: RunRecover diverges from the rollback oracle:\ngot:  %+v\nwant: %+v", b, got, want)
+		}
+	}
+	// The clamped case pinned by value: a limit exactly at a checkpoint
+	// between rollback and resume point times out there.
+	mid := snaps[rIdx+1].Instret
+	res = rec.RunRecover(-1, plan, spend(mid), pol)
+	if res.Instret != mid || res.RecoverInstret != mid-rollback || res.RecoveryAttempts != 1 {
+		t.Fatalf("limit at checkpoint %d: instret %d, replay work %d, attempts %d; want %d, %d, 1",
+			rIdx+1, res.Instret, res.RecoverInstret, res.RecoveryAttempts, mid, mid-rollback)
+	}
+}
+
+// recoverEqual compares every sim.Result field. Output is compared by
+// content: a run from scratch that printed nothing returns nil, one
+// resumed at a checkpoint an empty slice.
+func recoverEqual(a, b sim.Result) bool {
+	if !bytes.Equal(a.Output, b.Output) {
+		return false
+	}
+	a.Output, b.Output = nil, nil
+	return reflect.DeepEqual(a, b)
+}
+
+// TestRunRecoverMatchesReference pins RunRecover, whose replays resume at
+// ResumeIdx, against the rollback oracle, whose replays resume at the
+// rollback checkpoint and re-simulate the golden prefix. Subjects are the
+// shorter hardened apps under the detection mask, at 1-4 errors and several
+// budgets: the campaign default, 4/3 and 1/2 of golden, and per detected
+// plan one whose first replay limit equals a checkpoint's Instret between
+// the rollback and the resume point.
+func TestRunRecoverMatchesReference(t *testing.T) {
+	// The four apps with the shortest golden passes: the oracle
+	// re-simulates a golden tail per replay.
+	names, seeds := []string{"adpcm", "gsm", "blowfish", "mcf"}, int64(12)
+	if testing.Short() {
+		names, seeds = names[:1], 2
+	}
+	pol := sim.RecoveryPolicy{MaxAttempts: 3}
+	for _, name := range names {
+		app, ok := all.ByName(name)
+		if !ok {
+			t.Fatalf("no app %q", name)
+		}
+		t.Run(name, func(t *testing.T) {
+			t.Parallel()
+			hard := hardenApp(t, app)
+			mask := hard.PrimaryProtected
+			rec, err := sim.Record(hard.Prog, sim.Config{Input: app.Input(), Plan: &sim.FaultPlan{Eligible: mask}}, sim.RecordOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			golden := rec.Result.Instret
+			snaps := rec.Snapshots()
+			var plans, recovered, clamped int
+			check := func(idx int, plan *sim.FaultPlan, budget uint64) sim.Result {
+				t.Helper()
+				got := rec.RunRecover(idx, plan, budget, pol)
+				want := rec.ReferenceRunRecover(idx, plan, budget, pol)
+				if !recoverEqual(got, want) {
+					t.Fatalf("start %d plan %v budget %d: RunRecover diverges from the rollback oracle:\ngot:  %+v\nwant: %+v",
+						idx, plan.Injections, budget, got, want)
+				}
+				plans++
+				if got.Outcome == sim.Recovered {
+					recovered++
+				}
+				return got
+			}
+			for errors := 1; errors <= 4; errors++ {
+				for seed := int64(1); seed <= seeds; seed++ {
+					plan, err := fault.NewPlanBits(mask, rec.Result.EligibleExec, errors, seed*131+int64(errors), 0, 31)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for _, b := range []uint64{golden*16 + 10_000_000, golden * 4 / 3, golden / 2} {
+						check(rec.ResumeIdx(plan, b), plan, b)
+					}
+					// A first-replay limit exactly at a checkpoint between
+					// the rollback and resume points: the clamped resume
+					// must time out where the rollback replay does. The
+					// first attempt runs from scratch, so the whole budget
+					// it charges is also the instret it reached.
+					first := rec.RunFrom(-1, plan, 0)
+					if first.Outcome != sim.Detected {
+						continue
+					}
+					rIdx := rec.SnapshotBefore(first.EligibleExec + 1)
+					replay := &sim.FaultPlan{Eligible: mask, Injections: plan.Injections[first.Injected:]}
+					resume := rec.ResumeIdx(replay, 0)
+					if rIdx < 0 || resume <= rIdx {
+						continue
+					}
+					k := rIdx + 1 + (resume-rIdx-1)/2
+					budget := first.Instret + snaps[k].Instret - snaps[rIdx].Instret
+					if res := check(-1, plan, budget); res.Outcome != sim.Timeout || res.Instret != snaps[k].Instret {
+						t.Fatalf("plan %v: limit at checkpoint %d gave %s at instret %d, want timeout at %d",
+							plan.Injections, k, res.Outcome, res.Instret, snaps[k].Instret)
+					}
+					clamped++
+				}
+			}
+			if recovered == 0 || clamped == 0 {
+				t.Fatalf("%d plans: %d recovered, %d with a clamped replay; the differential exercised too little", plans, recovered, clamped)
+			}
+			t.Logf("%d plans, %d recovered, %d with a clamped replay", plans, recovered, clamped)
+		})
+	}
 }
 
 // TestRunFromRejectsForeignMask pins the mask-fingerprint guard: running a
@@ -206,7 +343,7 @@ func TestRunRecoverBudgetAccounting(t *testing.T) {
 func TestRunFromRejectsForeignMask(t *testing.T) {
 	rec, base := recordDetect(t)
 	plan := &sim.FaultPlan{Eligible: base.Eligible, Injections: []sim.Injection{{At: 150, Bit: 5}}}
-	idx := startFor(rec, plan)
+	idx := rec.ResumeIdx(plan, 0)
 
 	copyMask := make([]bool, len(base.Eligible))
 	copy(copyMask, base.Eligible)

@@ -198,10 +198,12 @@ type Result struct {
 	// the run never trapped.
 	RecoveryAttempts int
 	// RecoverInstret is the total instructions retired across all recovery
-	// replays — the rollback cost of the trial in re-executed work. The
-	// headline Instret field ends at the final replay's retirement count
-	// and does not include instructions that earlier, abandoned attempts
-	// executed.
+	// replays, each counted from its rollback checkpoint — the modeled
+	// rollback cost of the trial in re-executed work. The simulator skips
+	// the golden prefix of each replay (Runner.RunRecover), so this counts
+	// more instructions than the host simulated. The headline Instret
+	// field ends at the final replay's retirement count and does not
+	// include instructions that earlier, abandoned attempts executed.
 	RecoverInstret uint64
 }
 

@@ -472,6 +472,23 @@ func (r *Recording) SnapshotBefore(at uint64) int {
 	return lo - 1
 }
 
+// ResumeIdx returns the checkpoint a run under plan resumes from: the
+// latest one before the plan's first injection (the final one when the
+// plan has none) whose Instret is at most maxInstr (0: no bound), or -1
+// for a run from scratch. A run from any earlier checkpoint retraces the
+// golden pass up to that one, so resuming there gives the same Result;
+// the bound keeps a budget timeout at the same instret and pc.
+func (r *Recording) ResumeIdx(plan *FaultPlan, maxInstr uint64) int {
+	idx := len(r.snaps) - 1
+	if plan != nil && len(plan.Injections) > 0 {
+		idx = r.SnapshotBefore(plan.Injections[0].At)
+	}
+	for maxInstr != 0 && idx >= 0 && r.snaps[idx].Instret > maxInstr {
+		idx--
+	}
+	return idx
+}
+
 // RunFrom resumes execution from checkpoint idx under a trial plan and
 // instruction budget; idx -1 runs from scratch. Either way the run uses
 // the recording's own predecoded stream, which counts eligible ordinals
